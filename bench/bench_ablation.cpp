@@ -5,7 +5,7 @@
 //   2. quicksort pivots: first-element vs random (the paper suggests both);
 //   3. list ranking: Wyllie vs the work-efficient contraction, wall clock
 //      (the serial host feels the Θ(n lg n) vs Θ(n) work directly);
-//   4. scan backends: blocked two-phase vs the two-sweep tree (§3.1).
+//   4. scan backends: the library scan vs the two-sweep tree (§3.1).
 #include <algorithm>
 #include <chrono>
 #include <numeric>
@@ -142,8 +142,8 @@ int main() {
   }
 
   // ---- 4. scan backends -----------------------------------------------------------
-  bench::header("Ablation / scan backends: blocked two-phase vs two-sweep tree");
-  bench::row({"n", "blocked ms", "tree ms", "tree/blocked"});
+  bench::header("Ablation / scan backends: library scan vs two-sweep tree");
+  bench::row({"n", "library ms", "tree ms", "tree/library"});
   for (std::size_t lg = 16; lg <= 22; lg += 2) {
     const std::size_t n = std::size_t{1} << lg;
     std::vector<long> v(n), out(n);
@@ -153,7 +153,7 @@ int main() {
       exclusive_scan(std::span<const long>(v), std::span<long>(out),
                      Plus<long>{});
     }
-    const double blocked = ms_of(t0) / 5;
+    const double library = ms_of(t0) / 5;
     std::vector<long> out2(n);
     const auto t1 = Clock::now();
     for (int rep = 0; rep < 5; ++rep) {
@@ -162,11 +162,11 @@ int main() {
     }
     const double tree = ms_of(t1) / 5;
     if (out != out2) return 1;
-    bench::row({bench::fmt_u(n), bench::fmt(blocked, 2), bench::fmt(tree, 2),
-                bench::fmt(tree / blocked, 1)});
+    bench::row({bench::fmt_u(n), bench::fmt(library, 2), bench::fmt(tree, 2),
+                bench::fmt(tree / library, 1)});
   }
   std::printf("(the tree does 2n operator applications and strided traffic —\n"
-              " right for hardware, wrong for a cached CPU; the blocked scan\n"
+              " right for hardware, wrong for a cached CPU; the chained scan\n"
               " is the library's fast path)\n");
   return 0;
 }

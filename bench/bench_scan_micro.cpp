@@ -2,8 +2,8 @@
 // the practical half of the paper's claim that scans should be treated as
 // cheap as memory operations. Compares the library's scans against
 // std::inclusive_scan and a plain memory pass, across sizes and flavours,
-// and the chained engine against the two-phase engine at n = 2^20..2^26
-// (results also written to BENCH_scan_engine.json).
+// and sweeps the chained engine at n = 2^20..2^26 against a sequential
+// reference (results also written to BENCH_scan_engine.json).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 
 #include "bench/bench_util.hpp"
 #include "src/core/primitives.hpp"
-#include "src/core/runtime.hpp"
 #include "src/core/scan.hpp"
 #include "src/core/segmented.hpp"
 #include "src/core/simd/simd.hpp"
@@ -52,21 +51,6 @@ void BM_PlusScan(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * in.size() * sizeof(in[0]));
 }
 BENCHMARK(BM_PlusScan)->Range(1 << 10, 1 << 22);
-
-void BM_PlusScanTwoPhase(benchmark::State& state) {
-  const ScanEngine prev = scan_engine();
-  set_scan_engine(ScanEngine::kTwoPhase);
-  const auto in = make_input(static_cast<std::size_t>(state.range(0)));
-  std::vector<std::int64_t> out(in.size());
-  for (auto _ : state) {
-    exclusive_scan(std::span<const std::int64_t>(in),
-                   std::span<std::int64_t>(out), Plus<std::int64_t>{});
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(state.iterations() * in.size() * sizeof(in[0]));
-  set_scan_engine(prev);
-}
-BENCHMARK(BM_PlusScanTwoPhase)->Range(1 << 10, 1 << 22);
 
 void BM_StdInclusiveScan(benchmark::State& state) {
   const auto in = make_input(static_cast<std::size_t>(state.range(0)));
@@ -149,67 +133,56 @@ void BM_Split(benchmark::State& state) {
 }
 BENCHMARK(BM_Split)->Range(1 << 12, 1 << 20);
 
-// --- chained vs two-phase engine sweep ---------------------------------------
-// Times each +-scan flavour under both engines at n = 2^20..2^26, counts
-// actual pool dispatch rounds via ThreadPool::dispatch_count(), checks the
-// engines agree bit-for-bit, and writes BENCH_scan_engine.json.
+// --- chained engine sweep -------------------------------------------------
+// Times each +-scan flavour at n = 2^20..2^26, counts actual pool dispatch
+// rounds via ThreadPool::dispatch_count(), checks the result against a
+// sequential reference loop, and writes BENCH_scan_engine.json.
 
 struct EngineRow {
   const char* op;
   std::size_t n;
-  double chained_ms = 0;
-  double twophase_ms = 0;
-  std::uint64_t chained_dispatches = 0;
-  std::uint64_t twophase_dispatches = 0;
+  double ms = 0;
+  std::uint64_t dispatches = 0;
   bool match = false;
 
-  double speedup() const {
-    return chained_ms > 0 ? twophase_ms / chained_ms : 0;
+  // Read + write of the int64 input, per second.
+  double gbs() const {
+    return ms > 0 ? 2.0 * static_cast<double>(n * sizeof(std::int64_t)) /
+                        (ms * 1e6)
+                  : 0;
   }
 };
 
-template <class Run>
-EngineRow compare_engines(const char* op, std::size_t n, int reps, Run run) {
+// `ref(out)` fills the sequential reference; it is built per row so only
+// one reference vector is alive at 2^26.
+template <class Ref, class Run>
+EngineRow time_engine(const char* op, std::size_t n, int reps, Ref ref,
+                      Run run) {
   EngineRow r{op, n};
-  std::vector<std::int64_t> chained(n), twophase(n);
-  const ScanEngine prev = scan_engine();
-
-  const auto timed = [&](ScanEngine e, std::span<std::int64_t> out) {
-    set_scan_engine(e);
-    return bench::time_once_ms([&] { run(out); });
-  };
-  // Warmup passes also count the dispatch rounds each engine needs.
-  set_scan_engine(ScanEngine::kChained);
+  std::vector<std::int64_t> out(n);
+  // The warmup pass also counts the dispatch rounds the engine needs.
   const std::uint64_t d0 = thread::pool().dispatch_count();
-  run(std::span<std::int64_t>(chained));
-  r.chained_dispatches = thread::pool().dispatch_count() - d0;
-  set_scan_engine(ScanEngine::kTwoPhase);
-  const std::uint64_t d1 = thread::pool().dispatch_count();
-  run(std::span<std::int64_t>(twophase));
-  r.twophase_dispatches = thread::pool().dispatch_count() - d1;
-  r.match = chained == twophase;
-  // Interleave the engines rep by rep so drift in background host load
-  // lands on both sides equally; report best-of.
-  r.chained_ms = r.twophase_ms = 1e300;
-  for (int i = 0; i < reps; ++i) {
-    r.chained_ms = std::min(
-        r.chained_ms,
-        timed(ScanEngine::kChained, std::span<std::int64_t>(chained)));
-    r.twophase_ms = std::min(
-        r.twophase_ms,
-        timed(ScanEngine::kTwoPhase, std::span<std::int64_t>(twophase)));
+  run(std::span<std::int64_t>(out));
+  r.dispatches = thread::pool().dispatch_count() - d0;
+  {
+    std::vector<std::int64_t> want(n);
+    ref(want);
+    r.match = out == want;
   }
-  set_scan_engine(prev);
+  r.ms = 1e300;
+  for (int i = 0; i < reps; ++i) {
+    r.ms = std::min(r.ms, bench::time_once_ms(
+                              [&] { run(std::span<std::int64_t>(out)); }));
+  }
   return r;
 }
 
 void run_engine_sweep(bench::JsonLog& json) {
-  bench::header("scan engine: chained (single-pass) vs two-phase blocked");
+  bench::header("scan engine: chained (single-pass)");
   std::printf("workers=%zu  tile=%zu  simd=%s\n", thread::num_workers(),
               detail::chained_tile_elements<std::int64_t>(),
               simd::tier_name(simd::active_tier()));
-  bench::row({"op", "n", "chained ms", "twophase ms", "speedup", "disp c/t",
-              "match"});
+  bench::row({"op", "n", "ms", "rw GB/s", "dispatches", "match"});
 
   const std::size_t sizes[] = {std::size_t{1} << 20, std::size_t{1} << 22,
                                std::size_t{1} << 24, std::size_t{1} << 26};
@@ -222,32 +195,55 @@ void run_engine_sweep(bench::JsonLog& json) {
     f[0] = 1;
     for (std::size_t i = 1; i < n; ++i) f[i] = (g() % 4096) == 0;
 
+    // Sequential references: plain loops, no library kernel.
     std::vector<EngineRow> rows;
-    rows.push_back(compare_engines("+-scan", n, reps, [&](auto out) {
-      exclusive_scan(s, out, Plus<std::int64_t>{});
-    }));
-    rows.push_back(compare_engines("+-backscan", n, reps, [&](auto out) {
-      backward_exclusive_scan(s, out, Plus<std::int64_t>{});
-    }));
-    rows.push_back(compare_engines("seg-+-scan", n, reps, [&](auto out) {
-      seg_exclusive_scan(s, FlagsView(f), out, Plus<std::int64_t>{});
-    }));
+    rows.push_back(time_engine(
+        "+-scan", n, reps,
+        [&](std::vector<std::int64_t>& want) {
+          std::int64_t acc = 0;
+          for (std::size_t i = 0; i < n; ++i) {
+            want[i] = acc;
+            acc += in[i];
+          }
+        },
+        [&](auto out) { exclusive_scan(s, out, Plus<std::int64_t>{}); }));
+    rows.push_back(time_engine(
+        "+-backscan", n, reps,
+        [&](std::vector<std::int64_t>& want) {
+          std::int64_t acc = 0;
+          for (std::size_t i = n; i-- > 0;) {
+            want[i] = acc;
+            acc += in[i];
+          }
+        },
+        [&](auto out) {
+          backward_exclusive_scan(s, out, Plus<std::int64_t>{});
+        }));
+    rows.push_back(time_engine(
+        "seg-+-scan", n, reps,
+        [&](std::vector<std::int64_t>& want) {
+          std::int64_t acc = 0;
+          for (std::size_t i = 0; i < n; ++i) {
+            if (f[i]) acc = 0;
+            want[i] = acc;
+            acc += in[i];
+          }
+        },
+        [&](auto out) {
+          seg_exclusive_scan(s, FlagsView(f), out, Plus<std::int64_t>{});
+        }));
 
     for (const EngineRow& r : rows) {
-      bench::row({r.op, bench::fmt_u(r.n), bench::fmt(r.chained_ms, 3),
-                  bench::fmt(r.twophase_ms, 3), bench::fmt(r.speedup(), 2),
-                  bench::fmt_u(r.chained_dispatches) + "/" +
-                      bench::fmt_u(r.twophase_dispatches),
+      bench::row({r.op, bench::fmt_u(r.n), bench::fmt(r.ms, 3),
+                  bench::fmt(r.gbs(), 2), bench::fmt_u(r.dispatches),
                   r.match ? "yes" : "NO"});
       json.field("op", r.op)
           .field("n", r.n)
           .field("workers", static_cast<std::uint64_t>(thread::num_workers()))
           .field("simd", simd::tier_name(simd::active_tier()))
-          .field("chained_ms", r.chained_ms)
-          .field("twophase_ms", r.twophase_ms)
-          .field("speedup", r.speedup())
-          .field("chained_dispatches", r.chained_dispatches)
-          .field("twophase_dispatches", r.twophase_dispatches)
+          .field("chained_ms", r.ms)
+          .field("gbs", r.gbs())
+          .field("chained_dispatches", r.dispatches)
           .field("match", r.match)
           .end_object();
     }
@@ -261,7 +257,7 @@ void run_engine_sweep(bench::JsonLog& json) {
 // sweep runs the real p>1 configuration — SIMD tile kernels under the
 // lookback protocol on the full worker pool — across tile sizes, verifying
 // each result against the library scan. Rows land in BENCH_scan_engine.json
-// (op = "tile-sweep") next to the engine comparison they explain.
+// (op = "tile-sweep") next to the engine rows they explain.
 
 void run_tile_sweep(bench::JsonLog& json) {
   bench::header("chained tile sweep: SIMD x lookback on the worker pool");

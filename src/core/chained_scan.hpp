@@ -1,10 +1,11 @@
-// Single-pass chained scan engine (docs/SCAN_ENGINE.md).
+// Single-pass chained scan engine (docs/SCAN_ENGINE.md): the one parallel
+// engine behind every scan, segmented scan and fused executor group.
 //
-// The two-phase blocked decomposition of core/scan.hpp costs two pool
-// dispatches and reads the input twice (~3n memory traffic). This engine
-// reaches the ~2n lower bound the way LightScan (Liu & Aluru) and Träff's
-// exclusive-scan algorithms do: the input is cut into cache-sized tiles that
-// workers claim in order through an atomic counter. A worker summarises its
+// A blocked reduce-then-scan decomposition costs two pool dispatches and
+// reads the input twice (~3n memory traffic). This engine reaches the ~2n
+// lower bound the way LightScan (Liu & Aluru) and Träff's exclusive-scan
+// algorithms do: the input is cut into cache-sized tiles that workers claim
+// in order through an atomic counter. A worker summarises its
 // tile while the tile is cold (one read from DRAM), publishes the tile
 // aggregate through an atomic status word, resolves its carry-in by looking
 // back across predecessor tiles — accumulating published aggregates until it
@@ -147,8 +148,10 @@ class ChainedScratch {
 /// ⊕-summary (one pass, starting from the identity) and returns true when
 /// the tile contains a segment flag — i.e. when `agg` is already the tile's
 /// outflow regardless of carry-in. `rescan(worker, begin, count, carry)`
-/// writes the tile's final output given its resolved carry-in; the tile is
-/// expected to still be cache-resident from `summarize`. `combine` must be
+/// writes the tile's final output given its resolved carry-in. The same
+/// worker runs `rescan` right after `summarize` of the same tile, with no
+/// other tile in between, so the tile is still cache-resident and anything
+/// `summarize` left in per-worker scratch is still there. `combine` must be
 /// associative with `identity` as a two-sided identity; lookback accumulates
 /// strictly in logical order, so non-commutative operators (e.g. the
 /// "latest valid value" operator behind seg_copy) are safe.

@@ -14,9 +14,8 @@
 //   - numeric values outside [min, max] warn once and clamp (the value was
 //     understood; honouring as much of it as possible beats ignoring it).
 //
-// The pure sanitize_* parsers in core/runtime.hpp, mem/mem.hpp and
-// core/simd/simd.hpp remain for programmatic use (tests feed them strings
-// directly); the environment itself is read only through this header.
+// There are no other parsers: every knob's token table lives once, at its
+// size_or / flag_or / choice_or call site.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +38,9 @@ std::string token_of(const char* var);
 
 /// Positive decimal size. Unset -> `fallback`. Malformed (non-numeric,
 /// trailing garbage, zero/negative, overflow) -> warn once, `fallback`.
-/// Valid but outside [min, max] -> warn once, clamp.
+/// Valid but outside [min, max] -> warn once, clamp. The fallback itself is
+/// returned as given, not clamped: callers use out-of-range fallbacks (0)
+/// to mean "not configured".
 std::size_t size_or(const char* var, std::size_t fallback, std::size_t min,
                     std::size_t max);
 

@@ -8,6 +8,7 @@
 #include <concepts>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 namespace scanprim {
 
@@ -20,11 +21,47 @@ concept ScanOperator = requires(const Op op, T a, T b) {
   { Op::identity() } -> std::convertible_to<T>;
 };
 
+/// Integer `+`, `-` and `×` wrap mod 2^bits, like the paper's m-bit bit-serial
+/// adder (src/circuit): the operands go through the unsigned type of their
+/// promoted width, so signed overflow (and the int overflow of promoted
+/// short products) is defined, and every SIMD tier, whose vector adds wrap,
+/// agrees with the scalar loop bit for bit. Other types use the plain
+/// operator.
+template <class T>
+constexpr T wrapping_add(T a, T b) {
+  if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+    using U = std::make_unsigned_t<std::common_type_t<T, int>>;
+    return static_cast<T>(static_cast<U>(a) + static_cast<U>(b));
+  } else {
+    return a + b;
+  }
+}
+
+template <class T>
+constexpr T wrapping_sub(T a, T b) {
+  if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+    using U = std::make_unsigned_t<std::common_type_t<T, int>>;
+    return static_cast<T>(static_cast<U>(a) - static_cast<U>(b));
+  } else {
+    return a - b;
+  }
+}
+
+template <class T>
+constexpr T wrapping_mul(T a, T b) {
+  if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+    using U = std::make_unsigned_t<std::common_type_t<T, int>>;
+    return static_cast<T>(static_cast<U>(a) * static_cast<U>(b));
+  } else {
+    return a * b;
+  }
+}
+
 template <class T>
 struct Plus {
   using value_type = T;
   static constexpr T identity() { return T{}; }
-  constexpr T operator()(T a, T b) const { return a + b; }
+  constexpr T operator()(T a, T b) const { return wrapping_add(a, b); }
 };
 
 template <class T>
@@ -77,7 +114,7 @@ template <class T>
 struct Times {
   using value_type = T;
   static constexpr T identity() { return T{1}; }
-  constexpr T operator()(T a, T b) const { return a * b; }
+  constexpr T operator()(T a, T b) const { return wrapping_mul(a, b); }
 };
 
 }  // namespace scanprim

@@ -1,10 +1,6 @@
 #include "src/core/runtime.hpp"
 
 #include <atomic>
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
-#include <string>
 
 #include "src/core/env.hpp"
 #include "src/thread/thread_pool.hpp"
@@ -12,30 +8,6 @@
 namespace scanprim {
 
 namespace {
-
-// Lower-cased copy of `spec` with surrounding whitespace stripped.
-std::string normalized_spec(const char* spec) {
-  if (spec == nullptr) return {};
-  std::string s(spec);
-  const auto is_space = [](char c) {
-    return std::isspace(static_cast<unsigned char>(c)) != 0;
-  };
-  while (!s.empty() && is_space(s.front())) s.erase(s.begin());
-  while (!s.empty() && is_space(s.back())) s.pop_back();
-  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
-}
-
-std::atomic<ScanEngine>& engine_state() {
-  static std::atomic<ScanEngine> engine{static_cast<ScanEngine>(
-      env::choice_or("SCANPRIM_SCAN_ENGINE",
-                     {{"chained", static_cast<int>(ScanEngine::kChained)},
-                      {"twophase", static_cast<int>(ScanEngine::kTwoPhase)},
-                      {"two-phase", static_cast<int>(ScanEngine::kTwoPhase)},
-                      {"2phase", static_cast<int>(ScanEngine::kTwoPhase)}},
-                     static_cast<int>(ScanEngine::kChained)))};
-  return engine;
-}
 
 std::atomic<bool>& bounds_state() {
   static std::atomic<bool> enabled{env::flag_or("SCANPRIM_CHECK_BOUNDS", true)};
@@ -48,66 +20,12 @@ const char* version() { return "1.1.0"; }
 
 std::size_t runtime_workers() { return thread::num_workers(); }
 
-std::size_t sanitize_worker_spec(const char* spec, std::size_t fallback) {
-  return sanitize_size_spec(spec, fallback, 1, kMaxWorkers);
-}
-
-std::size_t sanitize_size_spec(const char* spec, std::size_t fallback,
-                               std::size_t min, std::size_t max) {
-  const auto clamp = [min, max](std::size_t v) {
-    return v < min ? min : (v > max ? max : v);
-  };
-  if (spec == nullptr) return clamp(fallback);
-
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(spec, &end, 10);
-  if (end == spec) return clamp(fallback);  // empty or non-numeric
-  while (*end != '\0') {                    // allow trailing whitespace only
-    if (!std::isspace(static_cast<unsigned char>(*end))) {
-      return clamp(fallback);
-    }
-    ++end;
-  }
-  if (errno == ERANGE) return clamp(fallback);  // over/underflow
-  if (v <= 0) return clamp(fallback);           // zero or negative
-  return clamp(static_cast<std::size_t>(v));
-}
-
-ScanEngine scan_engine() {
-  return engine_state().load(std::memory_order_relaxed);
-}
-
-void set_scan_engine(ScanEngine engine) {
-  engine_state().store(engine, std::memory_order_relaxed);
-}
-
-ScanEngine sanitize_engine_spec(const char* spec) {
-  const std::string s = normalized_spec(spec);
-  if (s == "twophase" || s == "two-phase" || s == "2phase") {
-    return ScanEngine::kTwoPhase;
-  }
-  return ScanEngine::kChained;
-}
-
 bool bounds_checking() {
   return bounds_state().load(std::memory_order_relaxed);
 }
 
 void set_bounds_checking(bool enabled) {
   bounds_state().store(enabled, std::memory_order_relaxed);
-}
-
-bool sanitize_bounds_spec(const char* spec) {
-  const std::string s = normalized_spec(spec);
-  return !(s == "0" || s == "off" || s == "false");
-}
-
-bool sanitize_flag_spec(const char* spec, bool fallback) {
-  const std::string s = normalized_spec(spec);
-  if (s == "0" || s == "off" || s == "false") return false;
-  if (s == "1" || s == "on" || s == "true") return true;
-  return fallback;
 }
 
 }  // namespace scanprim

@@ -16,42 +16,6 @@ std::size_t runtime_workers();
 /// valid) values clamp here instead of spawning an absurd number of threads.
 inline constexpr std::size_t kMaxWorkers = 512;
 
-/// Parse a SCANPRIM_THREADS-style spec into a worker count.
-///
-/// Accepts a decimal integer with optional surrounding whitespace. Returns
-/// `fallback` (clamped into [1, kMaxWorkers]) when `spec` is null, empty,
-/// non-numeric, has trailing garbage, is zero or negative, or overflows;
-/// valid values larger than kMaxWorkers clamp to kMaxWorkers.
-std::size_t sanitize_worker_spec(const char* spec, std::size_t fallback);
-
-/// Parse a positive decimal size from an environment-variable spec (the
-/// SCANPRIM_SERVE_* knobs). Returns `fallback` (clamped into [min, max])
-/// when `spec` is null, empty, non-numeric, has trailing garbage, is zero
-/// or negative, or overflows; valid values clamp into [min, max].
-std::size_t sanitize_size_spec(const char* spec, std::size_t fallback,
-                               std::size_t min, std::size_t max);
-
-/// Which parallel decomposition the scans use above the serial cutoff.
-///
-/// kChained (the default) is the single-pass engine of core/chained_scan.hpp:
-/// one pool dispatch, one read of the input from memory. kTwoPhase is the
-/// classic blocked decomposition (per-block reduce, serial scan of the block
-/// summaries, per-block rescan): two dispatches, two reads.
-enum class ScanEngine : int { kChained = 0, kTwoPhase = 1 };
-
-/// The active engine. Initialised from SCANPRIM_SCAN_ENGINE on first use
-/// ("twophase" selects kTwoPhase; anything else, including unset, selects
-/// kChained).
-ScanEngine scan_engine();
-
-/// Override the active engine (used by tests and benches to compare both).
-void set_scan_engine(ScanEngine engine);
-
-/// Parse a SCANPRIM_SCAN_ENGINE-style spec: "twophase" / "two-phase" /
-/// "2phase" (any case, surrounding whitespace ignored) selects kTwoPhase;
-/// everything else is the chained default.
-ScanEngine sanitize_engine_spec(const char* spec);
-
 /// Whether permute/gather validate their index vectors (and throw
 /// std::out_of_range) instead of relying on assert-only checks that vanish
 /// under NDEBUG. Initialised from SCANPRIM_CHECK_BOUNDS on first use;
@@ -61,15 +25,5 @@ bool bounds_checking();
 /// Override bounds checking (used by tests; callers who have proven their
 /// index vectors can opt out for the branch-free inner loop).
 void set_bounds_checking(bool enabled);
-
-/// Parse a SCANPRIM_CHECK_BOUNDS-style spec: "0" / "off" / "false" (any
-/// case, surrounding whitespace ignored) disables checking; everything else,
-/// including unset, leaves it enabled.
-bool sanitize_bounds_spec(const char* spec);
-
-/// Parse a boolean on/off env spec: "0" / "off" / "false" → false, "1" /
-/// "on" / "true" → true (any case, surrounding whitespace ignored);
-/// anything else — including null/unset — returns `fallback`.
-bool sanitize_flag_spec(const char* spec, bool fallback);
 
 }  // namespace scanprim

@@ -5,12 +5,11 @@
 //     [i, a0, a0⊕a1, ..., a0⊕a1⊕...⊕a(n-2)].
 // Backward scans run over the reversed processor order (§2.1, §3.4).
 //
-// Every scan has a sequential kernel and two parallel engines selected by
-// scan_engine() (SCANPRIM_SCAN_ENGINE): the single-pass chained engine of
-// core/chained_scan.hpp (the default — one dispatch, one read of the input)
-// and the two-phase blocked kernel (per-block reduce, scan the block sums,
-// per-block rescan with a carry) — the same decomposition the paper uses for
-// long vectors in Figure 10, kept as the `twophase` fallback.
+// Every scan has a sequential kernel, run whole below thread::kSerialCutoff
+// or with one worker, and one parallel engine: the single-pass chained scan
+// of core/chained_scan.hpp (one pool dispatch, one read of the input). The
+// paper's Figure 10 blocking of long vectors is modelled in src/machine, not
+// run here.
 #pragma once
 
 #include <cassert>
@@ -20,7 +19,6 @@
 
 #include "src/core/chained_scan.hpp"
 #include "src/core/ops.hpp"
-#include "src/core/runtime.hpp"
 #include "src/core/simd/simd.hpp"
 #include "src/thread/thread_pool.hpp"
 
@@ -28,12 +26,12 @@ namespace scanprim {
 
 namespace detail {
 
-// The sequential kernels below are the tile/block bodies of BOTH parallel
-// engines (and the whole scan when workers == 1 or n is below the serial
-// cutoff). Each one dispatches to the SIMD tier of core/simd/ when the
-// operator × element type has a vector kernel, and otherwise runs the plain
-// element loop; the two paths are bit-identical (see simd_kernels.hpp), so
-// engine results never depend on the tier.
+// The sequential kernels below are the tile bodies of the chained engine
+// (and the whole scan when workers == 1 or n is below the serial cutoff).
+// Each one dispatches to the SIMD tier of core/simd/ when the operator ×
+// element type has a vector kernel, and otherwise runs the plain element
+// loop; the two paths are bit-identical (see simd_kernels.hpp), so results
+// never depend on the tier.
 
 template <class T, class Op>
 T sequential_reduce(std::span<const T> in, Op op) {
@@ -102,30 +100,11 @@ void chained_scan_dispatch(std::span<const T> in, std::span<T> out, Op op,
 template <class T, class Op, class BlockScan>
 void parallel_scan_impl(std::span<const T> in, std::span<T> out, Op op,
                         BlockScan scan_block) {
-  using thread::Block;
-  const std::size_t n = in.size();
-  const std::size_t workers = thread::num_workers();
-  if (workers == 1 || n < thread::kSerialCutoff) {
+  if (thread::num_workers() == 1 || in.size() < thread::kSerialCutoff) {
     scan_block(in, out, Op::identity());
     return;
   }
-  if (scan_engine() == ScanEngine::kChained) {
-    chained_scan_dispatch(in, out, op, /*backward=*/false, scan_block);
-    return;
-  }
-  std::vector<T> sums(workers, Op::identity());
-  thread::pool().run([&](std::size_t w) {
-    const Block blk = thread::block_of(n, workers, w);
-    sums[w] = sequential_reduce(in.subspan(blk.begin, blk.size()), op);
-  });
-  // Exclusive scan of the per-block sums gives each block its carry-in.
-  sequential_exclusive_scan(std::span<const T>(sums), std::span<T>(sums), op,
-                            Op::identity());
-  thread::pool().run([&](std::size_t w) {
-    const Block blk = thread::block_of(n, workers, w);
-    scan_block(in.subspan(blk.begin, blk.size()),
-               out.subspan(blk.begin, blk.size()), sums[w]);
-  });
+  chained_scan_dispatch(in, out, op, /*backward=*/false, scan_block);
 }
 
 }  // namespace detail
@@ -205,29 +184,11 @@ void sequential_backward_inclusive_scan(std::span<const T> in,
 template <class T, class Op, class BlockScan>
 void parallel_backward_scan_impl(std::span<const T> in, std::span<T> out,
                                  Op op, BlockScan scan_block) {
-  using thread::Block;
-  const std::size_t n = in.size();
-  const std::size_t workers = thread::num_workers();
-  if (workers == 1 || n < thread::kSerialCutoff) {
+  if (thread::num_workers() == 1 || in.size() < thread::kSerialCutoff) {
     scan_block(in, out, Op::identity());
     return;
   }
-  if (scan_engine() == ScanEngine::kChained) {
-    chained_scan_dispatch(in, out, op, /*backward=*/true, scan_block);
-    return;
-  }
-  std::vector<T> sums(workers, Op::identity());
-  thread::pool().run([&](std::size_t w) {
-    const Block blk = thread::block_of(n, workers, w);
-    sums[w] = sequential_reduce(in.subspan(blk.begin, blk.size()), op);
-  });
-  sequential_backward_exclusive_scan(std::span<const T>(sums),
-                                     std::span<T>(sums), op, Op::identity());
-  thread::pool().run([&](std::size_t w) {
-    const Block blk = thread::block_of(n, workers, w);
-    scan_block(in.subspan(blk.begin, blk.size()),
-               out.subspan(blk.begin, blk.size()), sums[w]);
-  });
+  chained_scan_dispatch(in, out, op, /*backward=*/true, scan_block);
 }
 
 }  // namespace detail

@@ -5,7 +5,9 @@
 // These are implemented directly with a carry that resets at flags — the
 // Schwartz-style direct implementation the paper mentions — and, separately,
 // in core/simulate.hpp, by reduction to the two unsegmented primitives
-// exactly as §3.4 prescribes. Tests check the two agree.
+// exactly as §3.4 prescribes. Tests check the two agree. Above
+// thread::kSerialCutoff every segmented scan runs through the single-pass
+// chained engine of core/chained_scan.hpp.
 #pragma once
 
 #include <algorithm>
@@ -33,8 +35,8 @@ using FlagsView = std::span<const std::uint8_t>;
 namespace detail {
 
 // --- sequential kernels -----------------------------------------------------
-// Each kernel takes and returns the running carry so the parallel drivers can
-// reuse it both for block summaries (phase 1) and for the re-scan (phase 2).
+// Each kernel takes and returns the running carry, so the chained driver can
+// run it on each tile with the carry its lookback resolved.
 
 // All eight kernels dispatch through core/simd/ when the operator × element
 // type vectorizes (flag-free register chunks run the unsegmented vector
@@ -108,7 +110,8 @@ T seg_backward_inclusive_kernel(std::span<const T> in, FlagsView f,
   }
 }
 
-// Summary-only versions (phase 1): run the kernel with a discarded output.
+// Summary-only versions (the chained summarise step): the kernel's carry
+// without its output.
 template <class T, class Op>
 T seg_forward_summary(std::span<const T> in, FlagsView f, Op op) {
   if constexpr (simd::vectorizable_v<Op, T>) {
@@ -148,7 +151,7 @@ T seg_backward_summary(std::span<const T> in, FlagsView f, Op op) {
 // Chained driver (core/chained_scan.hpp): a tile containing a flag publishes
 // its summary as a resolved prefix immediately — its outflow is independent
 // of the carry-in — which short-circuits the lookback at segment boundaries
-// exactly the way the `flagged` reset does in the two-phase combine below.
+// (the segmented-carry rule of Figure 4).
 template <class T, class Op, class Summary, class Kernel>
 void chained_seg_dispatch(std::span<const T> in, FlagsView f, std::span<T> out,
                           Op op, bool backward, Summary summary,
@@ -170,87 +173,31 @@ void chained_seg_dispatch(std::span<const T> in, FlagsView f, std::span<T> out,
 template <class T, class Op, class Kernel>
 void parallel_seg_scan(std::span<const T> in, FlagsView f, std::span<T> out,
                        Op op, Kernel kernel) {
-  using thread::Block;
-  const std::size_t n = in.size();
-  const std::size_t workers = thread::num_workers();
-  if (workers == 1 || n < thread::kSerialCutoff) {
+  if (thread::num_workers() == 1 || in.size() < thread::kSerialCutoff) {
     kernel(in, f, out, op, Op::identity());
     return;
   }
-  if (scan_engine() == ScanEngine::kChained) {
-    chained_seg_dispatch(
-        in, f, out, op, /*backward=*/false,
-        [](std::span<const T> bi, FlagsView bf, Op o) {
-          return seg_forward_summary(bi, bf, o);
-        },
-        kernel);
-    return;
-  }
-  std::vector<T> carry(workers, Op::identity());
-  std::vector<std::uint8_t> flagged(workers, 0);
-  thread::pool().run([&](std::size_t w) {
-    const Block blk = thread::block_of(n, workers, w);
-    auto bi = in.subspan(blk.begin, blk.size());
-    auto bf = f.subspan(blk.begin, blk.size());
-    carry[w] = seg_forward_summary(bi, bf, op);
-    flagged[w] = block_has_flag(bf) ? 1 : 0;
-  });
-  // Carry into block b: the summary of block b-1 if that block restarted a
-  // segment, else the incoming carry combined with block b-1's summary.
-  T run = Op::identity();
-  for (std::size_t b = 0; b < workers; ++b) {
-    const T mine = run;
-    run = flagged[b] ? carry[b] : op(run, carry[b]);
-    carry[b] = mine;
-  }
-  thread::pool().run([&](std::size_t w) {
-    const Block blk = thread::block_of(n, workers, w);
-    kernel(in.subspan(blk.begin, blk.size()),
-           f.subspan(blk.begin, blk.size()),
-           out.subspan(blk.begin, blk.size()), op, carry[w]);
-  });
+  chained_seg_dispatch(
+      in, f, out, op, /*backward=*/false,
+      [](std::span<const T> bi, FlagsView bf, Op o) {
+        return seg_forward_summary(bi, bf, o);
+      },
+      kernel);
 }
 
 template <class T, class Op, class Kernel>
 void parallel_seg_backscan(std::span<const T> in, FlagsView f,
                            std::span<T> out, Op op, Kernel kernel) {
-  using thread::Block;
-  const std::size_t n = in.size();
-  const std::size_t workers = thread::num_workers();
-  if (workers == 1 || n < thread::kSerialCutoff) {
+  if (thread::num_workers() == 1 || in.size() < thread::kSerialCutoff) {
     kernel(in, f, out, op, Op::identity());
     return;
   }
-  if (scan_engine() == ScanEngine::kChained) {
-    chained_seg_dispatch(
-        in, f, out, op, /*backward=*/true,
-        [](std::span<const T> bi, FlagsView bf, Op o) {
-          return seg_backward_summary(bi, bf, o);
-        },
-        kernel);
-    return;
-  }
-  std::vector<T> carry(workers, Op::identity());
-  std::vector<std::uint8_t> flagged(workers, 0);
-  thread::pool().run([&](std::size_t w) {
-    const Block blk = thread::block_of(n, workers, w);
-    auto bi = in.subspan(blk.begin, blk.size());
-    auto bf = f.subspan(blk.begin, blk.size());
-    carry[w] = seg_backward_summary(bi, bf, op);
-    flagged[w] = block_has_flag(bf) ? 1 : 0;
-  });
-  T run = Op::identity();
-  for (std::size_t b = workers; b-- > 0;) {
-    const T mine = run;
-    run = flagged[b] ? carry[b] : op(run, carry[b]);
-    carry[b] = mine;
-  }
-  thread::pool().run([&](std::size_t w) {
-    const Block blk = thread::block_of(n, workers, w);
-    kernel(in.subspan(blk.begin, blk.size()),
-           f.subspan(blk.begin, blk.size()),
-           out.subspan(blk.begin, blk.size()), op, carry[w]);
-  });
+  chained_seg_dispatch(
+      in, f, out, op, /*backward=*/true,
+      [](std::span<const T> bi, FlagsView bf, Op o) {
+        return seg_backward_summary(bi, bf, o);
+      },
+      kernel);
 }
 
 }  // namespace detail
@@ -385,7 +332,7 @@ constexpr Value op_identity(Op op) {
 constexpr Value op_apply(Op op, Value a, Value b) {
   switch (op) {
     case Op::kPlus:
-      return a + b;
+      return wrapping_add(a, b);
     case Op::kMax:
       return a > b ? a : b;
     case Op::kMin:
@@ -457,7 +404,7 @@ inline BatchCarry batch_backward_kernel(Value* d, const std::uint8_t* m,
   return c;
 }
 
-// Summary-only versions (the chained engine's phase-1 pass): accumulate the
+// Summary-only versions (the chained engine's summarise step): accumulate the
 // inclusive carry without writing, reporting whether a flag was seen (a
 // flagged tile's outflow is carry-independent, so it publishes kPrefix).
 
@@ -566,7 +513,7 @@ template <class Fn>
 inline decltype(auto) with_op(Op op, Fn&& fn) {
   switch (op) {
     case Op::kPlus:
-      return fn([](Value a, Value b) { return a + b; });
+      return fn([](Value a, Value b) { return wrapping_add(a, b); });
     case Op::kMax:
       return fn([](Value a, Value b) { return a > b ? a : b; });
     case Op::kMin:
@@ -576,7 +523,7 @@ inline decltype(auto) with_op(Op op, Fn&& fn) {
     case Op::kAnd:
       return fn([](Value a, Value b) { return a & b; });
   }
-  return fn([](Value a, Value b) { return a + b; });
+  return fn([](Value a, Value b) { return wrapping_add(a, b); });
 }
 
 // Piece kernels: job-local range [a, b), carry in/out, semantics identical

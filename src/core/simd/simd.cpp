@@ -1,29 +1,12 @@
 #include "src/core/simd/simd.hpp"
 
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
-#include <string>
 
 #include "src/core/env.hpp"
 
 namespace scanprim::simd {
 
 namespace {
-
-// Lower-cased copy of `spec` with surrounding whitespace stripped (same
-// treatment runtime.cpp gives the other SCANPRIM_* knobs).
-std::string normalized_spec(const char* spec) {
-  if (spec == nullptr) return {};
-  std::string s(spec);
-  const auto is_space = [](char c) {
-    return std::isspace(static_cast<unsigned char>(c)) != 0;
-  };
-  while (!s.empty() && is_space(s.front())) s.erase(s.begin());
-  while (!s.empty() && is_space(s.back())) s.pop_back();
-  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
-}
 
 Tier clamp_to_supported(Tier tier) {
   const Tier best = best_supported_tier();
@@ -75,14 +58,6 @@ Tier active_tier() { return tier_state().load(std::memory_order_relaxed); }
 
 void set_simd_tier(Tier tier) {
   tier_state().store(clamp_to_supported(tier), std::memory_order_relaxed);
-}
-
-Tier sanitize_simd_spec(const char* spec) {
-  const std::string s = normalized_spec(spec);
-  if (s == "scalar" || s == "off" || s == "none") return Tier::kScalar;
-  if (s == "avx2") return clamp_to_supported(Tier::kAvx2);
-  if (s == "avx512") return clamp_to_supported(Tier::kAvx512);
-  return best_supported_tier();  // "auto", unset, or unrecognised
 }
 
 const char* tier_name(Tier tier) {

@@ -50,11 +50,6 @@ Tier active_tier();
 /// supports, so requesting kAvx512 on an AVX2 machine yields kAvx2.
 void set_simd_tier(Tier tier);
 
-/// Parse a SCANPRIM_SIMD-style spec: "scalar" / "avx2" / "avx512" pick a
-/// tier cap; "auto", unset, or anything unrecognised means
-/// best_supported_tier().
-Tier sanitize_simd_spec(const char* spec);
-
 /// Lower-case name of a tier ("scalar" / "avx2" / "avx512").
 const char* tier_name(Tier tier);
 

@@ -68,9 +68,12 @@ struct OpTraits {
 template <class T>
 struct OpTraits<Plus<T>> {
   static constexpr bool vectorizable = std::is_integral_v<T> && sizeof(T) <= 8;
+  // Added in the unsigned lane type: signed lanes wrap exactly like the
+  // scalar wrapping_add of core/ops.hpp, without signed overflow.
   template <class V>
   static SCANPRIM_SIMD_INLINE V apply(V a, V b) {
-    return a + b;
+    typedef std::make_unsigned_t<T> U __attribute__((vector_size(sizeof(V))));
+    return (V)((U)a + (U)b);
   }
 };
 

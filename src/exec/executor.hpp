@@ -1,17 +1,14 @@
 // The pipeline executor: runs a fused plan (fuser.hpp) over the existing
-// ThreadPool, one blocked kernel per fused group.
+// ThreadPool, one kernel per fused group.
 //
-// A group with a scan runs the same engines as core/scan.hpp, selected by
-// scan_engine(). Under the default chained engine a fused group without a
-// pack is genuinely one pass: tiles resolve their carries through the
-// lookback protocol of core/chained_scan.hpp in a single dispatch, with the
-// group's map/zip lambdas carried into the summarise and rescan loops. The
-// two-phase decomposition — per-block reduce, serial scan of block
-// summaries, per-block rescan with a carry — remains for pack groups (the
-// packed output offset needs the barrier) and as the SCANPRIM_SCAN_ENGINE=
-// twophase fallback; there a chain like `map | +-scan | map | map` touches
-// memory twice (once per phase) instead of once per stage, and with one
-// worker (or below the serial cutoff) the reduce phase is skipped entirely.
+// A group with a scan runs on the chained engine of core/chained_scan.hpp,
+// like core/scan.hpp: one dispatch, in which tiles resolve their carries
+// through the lookback protocol with the group's map/zip lambdas carried
+// into the summarise and rescan loops. A chain like `map | +-scan | map |
+// map` therefore reads its input from memory once. A pack group carries the
+// kept count beside the scan carry, so the packed output offset of each
+// tile is resolved by the same lookback. Below the serial cutoff (or with
+// one worker) every group is one sequential pass.
 //
 // Intermediate buffers between groups come from a BufferArena that reuses
 // previous temporaries instead of allocating per stage.
@@ -26,7 +23,6 @@
 #include <vector>
 
 #include "src/core/chained_scan.hpp"
-#include "src/core/runtime.hpp"
 #include "src/exec/fuser.hpp"
 #include "src/fault/fault.hpp"
 #include "src/exec/graph.hpp"
@@ -74,6 +70,15 @@ void for_tiles(std::size_t lo, std::size_t hi, std::size_t tile, bool backward,
   }
 }
 
+/// The carry of a chained pack group: the scan carry, the number of kept
+/// elements so far, and whether a segment flag reset the scan carry.
+template <class T>
+struct PackCarry {
+  T v{};
+  std::size_t kept = 0;
+  bool reset = false;
+};
+
 /// Runs one group over input of length n, writing to `out` (length n, or the
 /// pack count when the group packs — returned). `prev` is the previous
 /// group's buffer, or null when the group reads through the source node.
@@ -92,8 +97,7 @@ std::size_t execute_group(const std::vector<Node<T>>& nodes, const Group& g,
   };
 
   const std::size_t workers = thread::num_workers();
-  const std::size_t nblocks =
-      (workers == 1 || n < thread::kSerialCutoff) ? 1 : workers;
+  const bool serial = workers == 1 || n < thread::kSerialCutoff;
 
   // --- permute: always a singleton group, one scatter pass -------------------
   if (g.is_permute) {
@@ -161,8 +165,8 @@ std::size_t execute_group(const std::vector<Node<T>>& nodes, const Group& g,
     return n;
   }
 
-  // --- single block: no reduce phase needed ----------------------------------
-  if (nblocks == 1) {
+  // --- serial: one sequential pass, no lookback protocol ---------------------
+  if (serial) {
     if (!g.has_pack) {
       // Scan group, full length: scan in place in `out`.
       T carry = sc->identity;
@@ -215,17 +219,18 @@ std::size_t execute_group(const std::vector<Node<T>>& nodes, const Group& g,
     return total;
   }
 
-  // --- chained single-pass kernel (core/chained_scan.hpp) --------------------
-  // A fused scan group without a trailing pack resolves tile carries through
-  // the lookback protocol in ONE dispatch: summarise the tile (pre-scan
-  // lambdas applied on the way), publish the aggregate, look back for the
-  // carry, then rescan the still-cached tile with the post-scan lambdas into
-  // `out`. Pack groups stay on the two-phase path: the packed output offset
-  // needs a full prefix of the kept counts, which the two-phase barrier
-  // already provides.
-  if (sc && !pf && scan_engine() == ScanEngine::kChained) {
+  // --- chained single-pass kernels (core/chained_scan.hpp) -------------------
+  // A fused scan group resolves tile carries through the lookback protocol in
+  // ONE dispatch: summarise the tile (pre-scan lambdas applied on the way),
+  // publish the aggregate, look back for the carry, then rescan the
+  // still-cached tile with the post-scan lambdas into `out`.
+  std::vector<std::vector<T>> scratch(workers);
+  const auto scratch_of = [&](std::size_t w) {
+    if (scratch[w].size() < tile) scratch[w].resize(tile);
+    return scratch[w].data();
+  };
+  if (!pf) {
     const bool no_pre = pre_end == g.first;
-    std::vector<std::vector<T>> scratch(workers);
     scanprim::detail::chained_scan_run<T>(
         n, tile, backward, sc->identity,
         [&](T a, T b) { return sc->combine(a, b); },
@@ -235,10 +240,10 @@ std::size_t execute_group(const std::vector<Node<T>>& nodes, const Group& g,
           if (no_pre && direct_in) {
             d = direct_in + b;
           } else {
-            if (scratch[w].size() < tile) scratch[w].resize(tile);
-            load(b, c, scratch[w].data());
-            apply_range(g.first, pre_end, scratch[w].data(), b, c);
-            d = scratch[w].data();
+            T* buf = scratch_of(w);
+            load(b, c, buf);
+            apply_range(g.first, pre_end, buf, b, c);
+            d = buf;
           }
           *agg = sc->reduce_tile(d, seg_at(b), c, sc->identity, &saw);
           return saw;
@@ -256,110 +261,64 @@ std::size_t execute_group(const std::vector<Node<T>>& nodes, const Group& g,
     return n;
   }
 
-  // --- two-phase blocked kernel ----------------------------------------------
-  // Phase 1: per-block scan summaries (carrying the pre-scan lambdas into the
-  // reduce loop) and per-block pack counts, in one dispatch.
-  std::vector<T> sums(nblocks, sc ? sc->identity : T{});
-  std::vector<std::uint8_t> flagged(nblocks, 0);
-  std::vector<std::size_t> base(nblocks, 0), cnt(nblocks, 0);
-  thread::pool().run([&](std::size_t w) {
-    const thread::Block blk = thread::block_of(n, nblocks, w);
-    if (blk.empty()) return;
-    if (pf) {
+  // A pack group carries (scan carry, kept count) through the lookback: the
+  // kept count of the tiles before a tile is its packed output offset. The
+  // summarise step leaves the pre-scan tile in the worker's scratch, where
+  // the rescan finishes it. Kept counts cross segment boundaries, so a tile
+  // never publishes early on a segment flag; a flagged tile's scan-carry
+  // reset travels inside the carry instead (like batch::BatchCarry). A
+  // backward pack counts its kept flags first, and each tile fills its
+  // output top-down from total - (kept to its right).
+  std::size_t total = 0;
+  if (backward) {
+    std::vector<std::size_t> cnt(workers, 0);
+    thread::parallel_blocks(n, [&](thread::Block blk, std::size_t w) {
       std::size_t c = 0;
       for (std::size_t i = blk.begin; i < blk.end; ++i) c += pf[i] ? 1 : 0;
       cnt[w] = c;
-    }
-    if (!sc) return;
-    std::vector<T> scratch(tile);
-    T carry = sc->identity;
-    bool saw = false;
-    const bool no_pre = pre_end == g.first;
-    for_tiles(blk.begin, blk.end, tile, backward,
-              [&](std::size_t b, std::size_t c) {
-                const T* d;
-                if (no_pre && direct_in) {
-                  d = direct_in + b;
-                } else {
-                  load(b, c, scratch.data());
-                  apply_range(g.first, pre_end, scratch.data(), b, c);
-                  d = scratch.data();
-                }
-                carry = sc->reduce_tile(d, seg_at(b), c, carry, &saw);
-              });
-    sums[w] = carry;
-    flagged[w] = saw ? 1 : 0;
-  });
-
-  // Serial combine: each block's carry-in. The `flagged` reset logic makes
-  // this the segmented combination of core/segmented.hpp; with no segment
-  // flags it degenerates to the plain exclusive scan of block sums.
-  if (sc) {
-    T run = sc->identity;
-    if (!backward) {
-      for (std::size_t b = 0; b < nblocks; ++b) {
-        const T mine = run;
-        run = flagged[b] ? sums[b] : sc->combine(run, sums[b]);
-        sums[b] = mine;
-      }
-    } else {
-      for (std::size_t b = nblocks; b-- > 0;) {
-        const T mine = run;
-        run = flagged[b] ? sums[b] : sc->combine(run, sums[b]);
-        sums[b] = mine;
-      }
-    }
+    });
+    for (const std::size_t c : cnt) total += c;
   }
-  std::size_t total = 0;
-  if (pf) {
-    for (std::size_t b = 0; b < nblocks; ++b) {
-      base[b] = total;
-      total += cnt[b];
-    }
-  }
-
-  // Phase 2: rescan with carries, post-scan lambdas applied in the same
-  // loop, output written dense or packed.
-  thread::pool().run([&](std::size_t w) {
-    const thread::Block blk = thread::block_of(n, nblocks, w);
-    if (blk.empty()) return;
-    T carry = sc ? sums[w] : T{};
-    if (!pf) {
-      for_tiles(blk.begin, blk.end, tile, backward,
-                [&](std::size_t b, std::size_t c) {
-                  load(b, c, out + b);
-                  apply_range(g.first, pre_end, out + b, b, c);
-                  carry = sc->scan_tile(out + b, seg_at(b), c, carry);
-                  apply_range(post_begin, ew_end, out + b, b, c);
-                });
-      return;
-    }
-    std::vector<T> scratch(tile);
-    std::size_t pos = backward ? base[w] + cnt[w] : base[w];
-    for_tiles(blk.begin, blk.end, tile, backward,
-              [&](std::size_t b, std::size_t c) {
-                load(b, c, scratch.data());
-                apply_range(g.first, pre_end, scratch.data(), b, c);
-                if (sc) {
-                  carry = sc->scan_tile(scratch.data(), seg_at(b), c, carry);
-                }
-                apply_range(post_begin, ew_end, scratch.data(), b, c);
-                if (!backward) {
-                  for (std::size_t j = 0; j < c; ++j) {
-                    if (pf[b + j]) out[pos++] = scratch[j];
-                  }
-                } else {
-                  for (std::size_t j = c; j-- > 0;) {
-                    if (pf[b + j]) out[--pos] = scratch[j];
-                  }
-                }
-              });
-  });
-  s.pool_dispatches += 2;
-  s.bytes_read += (sc ? 2 : 1) * n * sizeof(T) + (segf ? 2 * n : 0) +
-                  (pf ? 2 * n : 0);
-  s.bytes_written += (pf ? total : n) * sizeof(T);
-  return pf ? total : n;
+  const PackCarry<T> identity{sc ? sc->identity : T{}, 0, false};
+  scanprim::detail::chained_scan_run<PackCarry<T>>(
+      n, tile, backward, identity,
+      [&](const PackCarry<T>& a, const PackCarry<T>& b) {
+        return PackCarry<T>{(!sc || b.reset) ? b.v : sc->combine(a.v, b.v),
+                            a.kept + b.kept, a.reset || b.reset};
+      },
+      [&](std::size_t w, std::size_t b, std::size_t c, PackCarry<T>* agg) {
+        T* d = scratch_of(w);
+        load(b, c, d);
+        apply_range(g.first, pre_end, d, b, c);
+        bool saw = false;
+        if (sc) agg->v = sc->reduce_tile(d, seg_at(b), c, sc->identity, &saw);
+        agg->reset = saw;
+        std::size_t kept = 0;
+        for (std::size_t j = 0; j < c; ++j) kept += pf[b + j] ? 1 : 0;
+        agg->kept = kept;
+        return false;
+      },
+      [&](std::size_t w, std::size_t b, std::size_t c, PackCarry<T> carry) {
+        T* d = scratch[w].data();
+        if (sc) sc->scan_tile(d, seg_at(b), c, carry.v);
+        apply_range(post_begin, ew_end, d, b, c);
+        if (!backward) {
+          std::size_t pos = carry.kept;
+          for (std::size_t j = 0; j < c; ++j) {
+            if (pf[b + j]) out[pos++] = d[j];
+          }
+          if (b + c == n) total = pos;  // the last tile knows the total
+        } else {
+          std::size_t pos = total - carry.kept;
+          for (std::size_t j = c; j-- > 0;) {
+            if (pf[b + j]) out[--pos] = d[j];
+          }
+        }
+      });
+  s.pool_dispatches += backward ? 2 : 1;
+  s.bytes_read += n * sizeof(T) + (segf ? n : 0) + (backward ? 2 * n : n);
+  s.bytes_written += total * sizeof(T);
+  return total;
 }
 
 }  // namespace detail

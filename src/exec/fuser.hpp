@@ -1,11 +1,11 @@
 // The fuser: turns a recorded stage sequence into execution groups, each of
-// which the executor runs as one (elementwise) or two (scan/pack) blocked
-// passes over memory.
+// which the executor runs as one pass over memory (a chained single-pass
+// kernel when the group scans or packs).
 //
 // Fusion legality (see docs/PIPELINE.md):
 //   - Map/Zip stages fuse freely, before and after a scan.
 //   - A group holds at most ONE scan (segmented or not): a second scan's
-//     input depends on carries the two-phase kernel has not resolved yet.
+//     input depends on carries the first scan's lookback has not resolved.
 //   - Pack ends its group: the vector length (and element positions) change.
 //   - Permute is always a group of its own: it breaks producer-consumer
 //     locality, so nothing fuses across it.
@@ -31,7 +31,7 @@ struct FuseOptions {
   std::size_t tile = 4096;  ///< elements per fused tile
 };
 
-/// A run of node indices [first, last] executed as one blocked kernel.
+/// A run of node indices [first, last] executed as one kernel.
 /// `first == 1 && last == 0` encodes the source-only pipeline (a pure copy).
 struct Group {
   std::size_t first = 0;

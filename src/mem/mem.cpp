@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cctype>
 #include <cstdlib>
 #include <mutex>
 #include <string>
@@ -109,18 +108,6 @@ void track_node_alloc(std::size_t node, std::size_t usable) {
   while (node > top && !g_top_node.compare_exchange_weak(
                            top, node, std::memory_order_relaxed)) {
   }
-}
-
-std::string lowercase_trimmed(const char* spec) {
-  if (spec == nullptr) return {};
-  std::string s(spec);
-  const auto is_ws = [](unsigned char c) { return std::isspace(c) != 0; };
-  while (!s.empty() && is_ws(static_cast<unsigned char>(s.front()))) {
-    s.erase(s.begin());
-  }
-  while (!s.empty() && is_ws(static_cast<unsigned char>(s.back()))) s.pop_back();
-  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
 }
 
 struct MemConfig {
@@ -364,21 +351,6 @@ std::size_t trim_high_water() {
 }
 void set_trim_high_water(std::size_t bytes) {
   cfg().trim.store(bytes, std::memory_order_relaxed);
-}
-
-HugePolicy sanitize_huge_spec(const char* spec) {
-  const std::string s = lowercase_trimmed(spec);
-  if (s == "0" || s == "off" || s == "false" || s == "none") {
-    return HugePolicy::kOff;
-  }
-  if (s == "hugetlb") return HugePolicy::kHugetlb;
-  return HugePolicy::kThp;
-}
-
-NumaPolicy sanitize_numa_spec(const char* spec) {
-  const std::string s = lowercase_trimmed(spec);
-  if (s == "interleave" || s == "interleaved") return NumaPolicy::kInterleave;
-  return NumaPolicy::kFirstTouch;
 }
 
 bool numa_supported() {

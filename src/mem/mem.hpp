@@ -76,15 +76,6 @@ bool pin_workers();
 std::size_t trim_high_water();
 void set_trim_high_water(std::size_t bytes);
 
-/// Parse a SCANPRIM_HUGEPAGES-style spec: "0" / "off" / "false" / "none"
-/// selects kOff, "hugetlb" kHugetlb; everything else — "thp", "1", "on",
-/// null/unset, garbage — the kThp default.
-HugePolicy sanitize_huge_spec(const char* spec);
-
-/// Parse a SCANPRIM_NUMA-style spec: "interleave" selects kInterleave;
-/// everything else (including null/unset) the kFirstTouch default.
-NumaPolicy sanitize_numa_spec(const char* spec);
-
 /// True when the build linked libnuma AND the running system supports it
 /// (numa_available() >= 0). Interleave requests are silent no-ops otherwise.
 bool numa_supported();

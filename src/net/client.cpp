@@ -44,28 +44,31 @@ int connect_to(const std::string& host, std::uint16_t port) {
 
 Client::Client(const std::string& host, std::uint16_t port,
                std::uint32_t tenant)
-    : tenant_(tenant) {
-  fd_.store(connect_to(host, port), std::memory_order_release);
+    : tenant_(tenant), fd_(connect_to(host, port)) {
   reader_ = std::thread([this] { reader_loop(); });
 }
 
 Client::Client(const std::string& host, std::uint16_t port,
                std::uint32_t tenant, bool manual)
-    : tenant_(tenant) {
-  fd_.store(connect_to(host, port), std::memory_order_release);
+    : tenant_(tenant), fd_(connect_to(host, port)) {
   if (!manual) reader_ = std::thread([this] { reader_loop(); });
 }
 
 Client::~Client() {
   close();
+  // Only now is no thread left inside recv()/send() on the descriptor, so
+  // its number can go back to the kernel for reuse.
   if (reader_.joinable()) reader_.join();
+  ::close(fd_);
 }
 
 void Client::close() {
-  const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);  // unblocks the reader
-    ::close(fd);
+  {
+    // Under send_mu_ so a frame is never half-written into a shut socket.
+    std::lock_guard<std::mutex> lk(send_mu_);
+    if (!closed_.exchange(true, std::memory_order_acq_rel)) {
+      ::shutdown(fd_, SHUT_RDWR);  // unblocks the reader's recv()
+    }
   }
   fail_all("connection closed");
 }
@@ -89,12 +92,11 @@ void Client::fail_all(const std::string& why) {
 
 bool Client::send_raw(const void* data, std::size_t n) {
   std::lock_guard<std::mutex> lk(send_mu_);
-  const int fd = fd_.load(std::memory_order_acquire);
-  if (fd < 0) return false;
+  if (closed_.load(std::memory_order_acquire)) return false;
   const char* p = static_cast<const char*>(data);
   std::size_t off = 0;
   while (off < n) {
-    const ssize_t w = ::send(fd, p + off, n - off, MSG_NOSIGNAL);
+    const ssize_t w = ::send(fd_, p + off, n - off, MSG_NOSIGNAL);
     if (w > 0) {
       off += static_cast<std::size_t>(w);
       continue;
@@ -212,10 +214,9 @@ void Client::reader_loop() {
   std::size_t off = 0;
   char chunk[65536];
   for (;;) {
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) break;
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n == 0) break;  // server closed
+    if (closed_.load(std::memory_order_acquire)) break;
+    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+    if (n == 0) break;  // server closed, or close() shut the socket down
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
@@ -274,9 +275,10 @@ Response Client::read_response() {
       buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(total));
       return r;
     }
-    const int fd = fd_.load(std::memory_order_acquire);
-    if (fd < 0) throw std::runtime_error("net: connection closed");
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (closed_.load(std::memory_order_acquire)) {
+      throw std::runtime_error("net: connection closed");
+    }
+    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
     if (n == 0) throw std::runtime_error("net: connection closed");
     if (n < 0) {
       if (errno == EINTR) continue;

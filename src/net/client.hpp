@@ -90,9 +90,12 @@ class Client {
          bool manual);
   Response read_response();
 
-  bool connected() const { return fd_.load(std::memory_order_acquire) >= 0; }
+  bool connected() const { return !closed_.load(std::memory_order_acquire); }
 
-  /// Close the socket and fail every outstanding future. Idempotent.
+  /// Shut the socket down and fail every outstanding future. Idempotent.
+  /// The descriptor itself is released by the destructor, after the reader
+  /// thread has been joined, so no thread can ever recv() on a reused
+  /// descriptor number.
   void close();
 
  private:
@@ -101,7 +104,8 @@ class Client {
   void fail_all(const std::string& why);
 
   std::uint32_t tenant_ = 0;
-  std::atomic<int> fd_{-1};
+  const int fd_;  ///< open for the client's whole life; closed by ~Client
+  std::atomic<bool> closed_{false};  ///< close() ran: the socket is shut
   std::atomic<std::uint64_t> next_id_{1};
   std::mutex send_mu_;  ///< serialises whole frames onto the socket
 

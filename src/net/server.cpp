@@ -111,10 +111,12 @@ bool ServiceBackend::submit(Request&& req, serve::SubmitOptions opts) {
       for (const Stage& st : req.stages) {
         switch (st.op) {
           case StageOp::kAddConst:
-            p = std::move(p) | exec::map([a = st.arg](Value v) { return v + a; });
+            p = std::move(p) |
+                exec::map([a = st.arg](Value v) { return wrapping_add(v, a); });
             break;
           case StageOp::kMulConst:
-            p = std::move(p) | exec::map([a = st.arg](Value v) { return v * a; });
+            p = std::move(p) |
+                exec::map([a = st.arg](Value v) { return wrapping_mul(v, a); });
             break;
           case StageOp::kMinConst:
             p = std::move(p) |

@@ -230,19 +230,19 @@ class Merged {
   void bind_stage(exec::Pipeline<I64>& p, const StageRecipe& s, std::size_t n,
                   const Lens& lens, std::vector<Flags>& flag_bufs) {
     switch (s.op) {
-      case SOp::kAdd: bind_binary(p, s, n, lens, [](I64 a, I64 b) { return a + b; }); return;
-      case SOp::kSub: bind_binary(p, s, n, lens, [](I64 a, I64 b) { return a - b; }); return;
-      case SOp::kMul: bind_binary(p, s, n, lens, [](I64 a, I64 b) { return a * b; }); return;
+      case SOp::kAdd: bind_binary(p, s, n, lens, [](I64 a, I64 b) { return wrapping_add(a, b); }); return;
+      case SOp::kSub: bind_binary(p, s, n, lens, [](I64 a, I64 b) { return wrapping_sub(a, b); }); return;
+      case SOp::kMul: bind_binary(p, s, n, lens, [](I64 a, I64 b) { return wrapping_mul(a, b); }); return;
       case SOp::kDiv:
         bind_binary(p, s, n, lens, [](I64 a, I64 b) {
           if (b == 0) throw VmError("div by 0");  // bail: per-job rerun
-          return a / b;
+          return b == -1 ? wrapping_sub(I64{0}, a) : a / b;
         });
         return;
       case SOp::kMod:
         bind_binary(p, s, n, lens, [](I64 a, I64 b) {
           if (b == 0) throw VmError("mod by 0");
-          return a % b;
+          return b == -1 ? I64{0} : a % b;
         });
         return;
       case SOp::kMin: bind_binary(p, s, n, lens, [](I64 a, I64 b) { return a < b ? a : b; }); return;
@@ -268,7 +268,7 @@ class Merged {
       case SOp::kGt: bind_binary(p, s, n, lens, [](I64 a, I64 b) -> I64 { return a > b; }); return;
 
       case SOp::kNeg:
-        p = std::move(p) | exec::map([](I64 d) { return -d; });
+        p = std::move(p) | exec::map([](I64 d) { return wrapping_sub(I64{0}, d); });
         return;
       case SOp::kFlag01:
         p = std::move(p) | exec::map([](I64 d) -> I64 { return d != 0; });

@@ -19,6 +19,7 @@
 // the runs; fuse_runs stays 0).
 #include <cstring>
 
+#include "src/core/ops.hpp"
 #include "src/obs/obs.hpp"
 #include "src/plan/plan.hpp"
 #include "src/thread/thread_pool.hpp"
@@ -188,19 +189,19 @@ class Evaluator {
                   std::vector<Flags>& flag_bufs,
                   std::vector<std::vector<std::size_t>>& index_bufs) {
     switch (s.op) {
-      case SOp::kAdd: bind_binary(p, s, n, [](I64 a, I64 b) { return a + b; }); return;
-      case SOp::kSub: bind_binary(p, s, n, [](I64 a, I64 b) { return a - b; }); return;
-      case SOp::kMul: bind_binary(p, s, n, [](I64 a, I64 b) { return a * b; }); return;
+      case SOp::kAdd: bind_binary(p, s, n, [](I64 a, I64 b) { return wrapping_add(a, b); }); return;
+      case SOp::kSub: bind_binary(p, s, n, [](I64 a, I64 b) { return wrapping_sub(a, b); }); return;
+      case SOp::kMul: bind_binary(p, s, n, [](I64 a, I64 b) { return wrapping_mul(a, b); }); return;
       case SOp::kDiv:
         bind_binary(p, s, n, [](I64 a, I64 b) {
           if (b == 0) throw VmError("div by 0");  // abandon reinterprets
-          return a / b;
+          return b == -1 ? wrapping_sub(I64{0}, a) : a / b;
         });
         return;
       case SOp::kMod:
         bind_binary(p, s, n, [](I64 a, I64 b) {
           if (b == 0) throw VmError("mod by 0");
-          return a % b;
+          return b == -1 ? I64{0} : a % b;
         });
         return;
       case SOp::kMin: bind_binary(p, s, n, [](I64 a, I64 b) { return a < b ? a : b; }); return;
@@ -226,7 +227,7 @@ class Evaluator {
       case SOp::kGt: bind_binary(p, s, n, [](I64 a, I64 b) -> I64 { return a > b; }); return;
 
       case SOp::kNeg:
-        p = std::move(p) | exec::map([](I64 d) { return -d; });
+        p = std::move(p) | exec::map([](I64 d) { return wrapping_sub(I64{0}, d); });
         apply_charge(s.charge, n);
         return;
       case SOp::kFlag01:

@@ -24,8 +24,12 @@ std::uint64_t busy_now_ns() {
 }
 
 std::size_t configured_workers() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return env::size_or("SCANPRIM_THREADS", hw == 0 ? 1 : hw, 1, kMaxWorkers);
+  // size_or hands an unset or malformed variable the fallback unclamped,
+  // so the hardware default is clamped here.
+  const std::size_t hw = std::thread::hardware_concurrency();
+  const std::size_t fallback =
+      hw == 0 ? 1 : (hw > kMaxWorkers ? kMaxWorkers : hw);
+  return env::size_or("SCANPRIM_THREADS", fallback, 1, kMaxWorkers);
 }
 
 /// Set only by reinit_pool_after_fork (shard worker children); pool()

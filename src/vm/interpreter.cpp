@@ -3,6 +3,8 @@
 #include <atomic>
 #include <span>
 
+#include "src/core/ops.hpp"
+
 namespace scanprim::vm {
 
 namespace {
@@ -174,19 +176,20 @@ std::size_t Interpreter::step(const Program& program, std::size_t pc) {
     case Op::Store: registers_[ins.name] = pop(); break;
     case Op::Length: push(Vec{static_cast<I64>(peek().size())}); break;
 
-    case Op::Add: binary([](I64 a, I64 b) { return a + b; }); break;
-    case Op::Sub: binary([](I64 a, I64 b) { return a - b; }); break;
-    case Op::Mul: binary([](I64 a, I64 b) { return a * b; }); break;
+    // Integer arithmetic wraps (core/ops.hpp); INT64_MIN / -1 wraps too.
+    case Op::Add: binary([](I64 a, I64 b) { return wrapping_add(a, b); }); break;
+    case Op::Sub: binary([](I64 a, I64 b) { return wrapping_sub(a, b); }); break;
+    case Op::Mul: binary([](I64 a, I64 b) { return wrapping_mul(a, b); }); break;
     case Op::Div:
       binary([this](I64 a, I64 b) {
         if (b == 0) throw VmError("pc " + std::to_string(pc_) + ": div by 0");
-        return a / b;
+        return b == -1 ? wrapping_sub(I64{0}, a) : a / b;
       });
       break;
     case Op::Mod:
       binary([this](I64 a, I64 b) {
         if (b == 0) throw VmError("pc " + std::to_string(pc_) + ": mod by 0");
-        return a % b;
+        return b == -1 ? I64{0} : a % b;
       });
       break;
     case Op::MinOp: binary([](I64 a, I64 b) { return a < b ? a : b; }); break;
@@ -213,7 +216,8 @@ std::size_t Interpreter::step(const Program& program, std::size_t pc) {
 
     case Op::Neg: {
       const Vec a = pop();
-      push(m_.map<I64>(std::span<const I64>(a), [](I64 v) { return -v; }));
+      push(m_.map<I64>(std::span<const I64>(a),
+                       [](I64 v) { return wrapping_sub(I64{0}, v); }));
       break;
     }
     case Op::Not: {

@@ -1,9 +1,9 @@
 // The single-pass chained scan engine (core/chained_scan.hpp) against the
-// two-phase engine and the serial references: both engines must produce
-// bit-identical output for every operator x direction x segmentation, and
-// the chained engine must handle the protocol's boundary cases — empty and
-// length-1 inputs, segment flags landing exactly on tile and worker-block
-// boundaries, all-flags / no-flags inputs, and out == in aliasing.
+// sequential references of test_util.hpp: every operator x direction x
+// segmentation, the fused executor's scan and pack groups, and the
+// protocol's boundary cases — empty and length-1 inputs, segment flags
+// landing exactly on tile and worker-block boundaries, all-flags / no-flags
+// inputs, and out == in aliasing.
 #include "src/core/chained_scan.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/core/primitives.hpp"
-#include "src/core/runtime.hpp"
 #include "src/core/scan.hpp"
 #include "src/core/segmented.hpp"
 #include "src/exec/executor.hpp"
@@ -23,30 +22,11 @@
 namespace scanprim {
 namespace {
 
-// Forces an engine for a scope and restores the previous one on exit.
-class EngineGuard {
- public:
-  explicit EngineGuard(ScanEngine engine) : prev_(scan_engine()) {
-    set_scan_engine(engine);
-  }
-  ~EngineGuard() { set_scan_engine(prev_); }
-
- private:
-  ScanEngine prev_;
-};
-
-template <class T, class Op, class Scan>
-void expect_engines_agree(std::span<const T> in, Op, Scan scan) {
-  std::vector<T> chained(in.size()), twophase(in.size());
-  {
-    EngineGuard g(ScanEngine::kChained);
-    scan(in, std::span<T>(chained));
-  }
-  {
-    EngineGuard g(ScanEngine::kTwoPhase);
-    scan(in, std::span<T>(twophase));
-  }
-  ASSERT_EQ(chained, twophase);
+template <class T, class Scan, class Ref>
+void expect_matches_reference(std::span<const T> in, Scan scan, Ref ref) {
+  std::vector<T> out(in.size());
+  scan(in, std::span<T>(out));
+  ASSERT_EQ(out, ref(in));
 }
 
 // Sizes around the serial cutoff, the tile size, and well past both, so the
@@ -59,7 +39,7 @@ std::vector<std::size_t> engine_sizes() {
 
 class ChainedSweep : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(ChainedSweep, AllOperatorsAllDirectionsAgreeWithTwoPhase) {
+TEST_P(ChainedSweep, AllOperatorsAllDirectionsMatchReference) {
   const std::size_t n = GetParam();
   const auto longs = testutil::random_vector<long>(n, 31);
   const auto bytes = testutil::random_vector<std::uint8_t>(n, 32, 2);
@@ -69,18 +49,34 @@ TEST_P(ChainedSweep, AllOperatorsAllDirectionsAgreeWithTwoPhase) {
   const auto check = [](auto in, auto op) {
     using T = typename decltype(op)::value_type;
     using OpT = decltype(op);
-    expect_engines_agree(in, op, [](std::span<const T> i, std::span<T> o) {
-      exclusive_scan(i, o, OpT{});
-    });
-    expect_engines_agree(in, op, [](std::span<const T> i, std::span<T> o) {
-      inclusive_scan(i, o, OpT{});
-    });
-    expect_engines_agree(in, op, [](std::span<const T> i, std::span<T> o) {
-      backward_exclusive_scan(i, o, OpT{});
-    });
-    expect_engines_agree(in, op, [](std::span<const T> i, std::span<T> o) {
-      backward_inclusive_scan(i, o, OpT{});
-    });
+    expect_matches_reference(
+        in, [](std::span<const T> i, std::span<T> o) {
+          exclusive_scan(i, o, OpT{});
+        },
+        [](std::span<const T> i) {
+          return testutil::ref_exclusive_scan(i, OpT{});
+        });
+    expect_matches_reference(
+        in, [](std::span<const T> i, std::span<T> o) {
+          inclusive_scan(i, o, OpT{});
+        },
+        [](std::span<const T> i) {
+          return testutil::ref_inclusive_scan(i, OpT{});
+        });
+    expect_matches_reference(
+        in, [](std::span<const T> i, std::span<T> o) {
+          backward_exclusive_scan(i, o, OpT{});
+        },
+        [](std::span<const T> i) {
+          return testutil::ref_backward_exclusive_scan(i, OpT{});
+        });
+    expect_matches_reference(
+        in, [](std::span<const T> i, std::span<T> o) {
+          backward_inclusive_scan(i, o, OpT{});
+        },
+        [](std::span<const T> i) {
+          return testutil::ref_backward_inclusive_scan(i, OpT{});
+        });
   };
   check(ls, Plus<long>{});
   check(ls, Max<long>{});
@@ -89,43 +85,96 @@ TEST_P(ChainedSweep, AllOperatorsAllDirectionsAgreeWithTwoPhase) {
   check(bs, And<std::uint8_t>{});
 }
 
-TEST_P(ChainedSweep, SegmentedScansAgreeWithTwoPhaseAndReference) {
+TEST_P(ChainedSweep, SegmentedScansMatchReference) {
   const std::size_t n = GetParam();
   const auto in = testutil::random_vector<long>(n, 33);
   const Flags f = testutil::random_flags(n, 34, 97);
   const std::span<const long> s(in);
   const FlagsView fv(f);
+  std::vector<long> out(n);
+  const std::span<long> o(out);
 
-  std::vector<long> chained(n), twophase(n);
-  const auto both = [&](auto run) {
-    {
-      EngineGuard g(ScanEngine::kChained);
-      run(std::span<long>(chained));
-    }
-    {
-      EngineGuard g(ScanEngine::kTwoPhase);
-      run(std::span<long>(twophase));
-    }
-    ASSERT_EQ(chained, twophase);
-  };
-  both([&](std::span<long> o) { seg_exclusive_scan(s, fv, o, Plus<long>{}); });
-  ASSERT_EQ(chained, testutil::ref_seg_exclusive_scan(s, fv, Plus<long>{}));
-  both([&](std::span<long> o) { seg_inclusive_scan(s, fv, o, Max<long>{}); });
-  both([&](std::span<long> o) {
-    seg_backward_exclusive_scan(s, fv, o, Plus<long>{});
-  });
-  ASSERT_EQ(chained,
+  seg_exclusive_scan(s, fv, o, Plus<long>{});
+  ASSERT_EQ(out, testutil::ref_seg_exclusive_scan(s, fv, Plus<long>{}));
+  seg_inclusive_scan(s, fv, o, Max<long>{});
+  ASSERT_EQ(out, testutil::ref_seg_inclusive_scan(s, fv, Max<long>{}));
+  seg_backward_exclusive_scan(s, fv, o, Plus<long>{});
+  ASSERT_EQ(out,
             testutil::ref_seg_backward_exclusive_scan(s, fv, Plus<long>{}));
-  both([&](std::span<long> o) {
-    seg_backward_inclusive_scan(s, fv, o, Min<long>{});
-  });
+  seg_backward_inclusive_scan(s, fv, o, Min<long>{});
+  ASSERT_EQ(out,
+            testutil::ref_seg_backward_inclusive_scan(s, fv, Min<long>{}));
+}
+
+// Sequential pack: the flagged elements of `in`, in order.
+template <class T>
+std::vector<T> ref_pack(const std::vector<T>& in, FlagsView keep) {
+  std::vector<T> out;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if (keep[i]) out.push_back(in[i]);
+  }
+  return out;
+}
+
+// Multi-block pack groups carry (scan carry, kept count) through the chained
+// lookback; each shape is checked against the scan reference composed with
+// the sequential pack.
+TEST_P(ChainedSweep, ExecutorPackGroupsMatchReference) {
+  using U = std::uint32_t;
+  const std::size_t n = GetParam();
+  const auto in = testutil::random_vector<U>(n, 48, 1u << 20);
+  const auto keep = testutil::random_vector<std::uint8_t>(n, 49, 2);
+  const Flags f = testutil::random_flags(n, 50, 97);
+  const std::span<const U> s(in);
+  const FlagsView kv(keep);
+  const FlagsView fv(f);
+  exec::Executor ex;
+
+  // Forward scan | pack: one chained dispatch once the pool is in play.
+  EXPECT_EQ(ex.run(exec::source(s) | exec::scan<Plus>() | exec::pack(kv)),
+            ref_pack(testutil::ref_exclusive_scan(s, Plus<U>{}), kv));
+  if (thread::num_workers() > 1 && n >= thread::kSerialCutoff) {
+    EXPECT_EQ(ex.stats().pool_dispatches, 1u);
+  }
+
+  // Pre- and post-scan stages fused around the scan.
+  std::vector<U> pre(n);
+  for (std::size_t i = 0; i < n; ++i) pre[i] = in[i] + 3;
+  auto expect = testutil::ref_inclusive_scan(std::span<const U>(pre),
+                                             Plus<U>{});
+  for (U& v : expect) v *= 2;
+  EXPECT_EQ(ex.run(exec::source(s) | exec::map([](U v) { return v + 3; }) |
+                   exec::inclusive_scan<Plus>() |
+                   exec::map([](U v) { return 2 * v; }) | exec::pack(kv)),
+            ref_pack(expect, kv));
+
+  // Scan-less pack: only the kept count travels.
+  std::vector<U> xored(in);
+  for (U& v : xored) v ^= 5;
+  EXPECT_EQ(ex.run(exec::source(s) | exec::map([](U v) { return v ^ 5; }) |
+                   exec::pack(kv)),
+            ref_pack(xored, kv));
+
+  // Backward: each tile fills its output top-down from the total.
+  EXPECT_EQ(ex.run(exec::source(s) | exec::backscan<Max>() | exec::pack(kv)),
+            ref_pack(testutil::ref_backward_exclusive_scan(s, Max<U>{}), kv));
+
+  // Segmented, both directions: the scan carry resets inside the pack carry
+  // while kept counts run across segment boundaries.
+  EXPECT_EQ(
+      ex.run(exec::source(s) | exec::seg_scan<Plus>(fv) | exec::pack(kv)),
+      ref_pack(testutil::ref_seg_exclusive_scan(s, fv, Plus<U>{}), kv));
+  EXPECT_EQ(ex.run(exec::source(s) | exec::seg_back_inclusive_scan<Min>(fv) |
+                   exec::pack(kv)),
+            ref_pack(testutil::ref_seg_backward_inclusive_scan(s, fv,
+                                                               Min<U>{}),
+                     kv));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ChainedSweep,
                          ::testing::ValuesIn(engine_sizes()));
 
 TEST(ChainedScan, EmptyAndLengthOneEveryFlavour) {
-  EngineGuard g(ScanEngine::kChained);
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}}) {
     const auto in = testutil::random_vector<long>(n, 35);
     const Flags f = testutil::random_flags(n, 36);
@@ -170,7 +219,6 @@ TEST(ChainedScan, FlagsOnTileAndWorkerBoundaries) {
   }
 
   std::vector<long> out(n);
-  EngineGuard g(ScanEngine::kChained);
   seg_exclusive_scan(s, FlagsView(f), std::span<long>(out), Plus<long>{});
   EXPECT_EQ(out,
             testutil::ref_seg_exclusive_scan(s, FlagsView(f), Plus<long>{}));
@@ -185,7 +233,6 @@ TEST(ChainedScan, AllFlagsAndNoFlags) {
   const auto in = testutil::random_vector<long>(n, 38);
   const std::span<const long> s(in);
   std::vector<long> out(n);
-  EngineGuard g(ScanEngine::kChained);
 
   const Flags all(n, 1);
   seg_exclusive_scan(s, FlagsView(all), std::span<long>(out), Plus<long>{});
@@ -205,7 +252,6 @@ TEST(ChainedScan, AllFlagsAndNoFlags) {
 // chained engine keeps the library's out-may-alias-in contract.
 TEST(ChainedScan, InPlaceAliasingForwardAndBackward) {
   const std::size_t n = 5 * detail::kChainedTileElements + 321;
-  EngineGuard g(ScanEngine::kChained);
 
   auto v = testutil::random_vector<long>(n, 39);
   const auto fwd = testutil::ref_exclusive_scan(std::span<const long>(v),
@@ -235,67 +281,51 @@ TEST(ChainedScan, NonCommutativeSegCopyOperator) {
   const std::size_t n = 4 * detail::kChainedTileElements + 77;
   const auto in = testutil::random_vector<int>(n, 43);
   const Flags f = testutil::random_flags(n, 44, 211);
-  std::vector<int> chained, twophase;
-  {
-    EngineGuard g(ScanEngine::kChained);
-    chained = seg_copy(std::span<const int>(in), FlagsView(f));
+  std::vector<int> expect(n);
+  for (std::size_t i = 0; i < n; ++i) {  // the latest segment head's value
+    expect[i] = (i == 0 || f[i]) ? in[i] : expect[i - 1];
   }
-  {
-    EngineGuard g(ScanEngine::kTwoPhase);
-    twophase = seg_copy(std::span<const int>(in), FlagsView(f));
-  }
-  EXPECT_EQ(chained, twophase);
+  EXPECT_EQ(seg_copy(std::span<const int>(in), FlagsView(f)), expect);
 }
 
 // The fused executor's scan groups run the same protocol: one dispatch for a
-// map | scan | map group, identical output to the two-phase plan.
-TEST(ChainedScan, ExecutorScanGroupsMatchTwoPhase) {
+// map | scan | map group, output equal to the composed references.
+TEST(ChainedScan, ExecutorScanGroupsMatchReference) {
+  using U = std::uint32_t;
   const std::size_t n = 200000;
-  const auto in = testutil::random_vector<std::uint32_t>(n, 45, 1u << 20);
+  const auto in = testutil::random_vector<U>(n, 45, 1u << 20);
   const Flags f = testutil::random_flags(n, 46, 999);
-  const std::span<const std::uint32_t> s(in);
+  const std::span<const U> s(in);
 
-  const auto build = [&] {
-    return exec::source(s) |
-           exec::map([](std::uint32_t v) { return v + 3; }) |
-           exec::scan<Plus>() |
-           exec::map([](std::uint32_t v) { return 2 * v; });
-  };
-  const auto build_seg = [&] {
-    return exec::source(s) | exec::seg_scan<Plus>(FlagsView(f)) |
-           exec::map([](std::uint32_t v) { return v ^ 5; });
-  };
-  const auto build_back = [&] {
-    return exec::source(s) | exec::backscan<Plus>() |
-           exec::map([](std::uint32_t v) { return v + 1; });
-  };
-
-  std::vector<std::uint32_t> c1, c2, c3, t1, t2, t3;
-  exec::Stats chained_stats;
-  {
-    EngineGuard g(ScanEngine::kChained);
-    exec::Executor ex;
-    c1 = ex.run(build());
-    chained_stats = ex.stats();
-    c2 = ex.run(build_seg());
-    c3 = ex.run(build_back());
-  }
-  {
-    EngineGuard g(ScanEngine::kTwoPhase);
-    t1 = exec::run(build());
-    t2 = exec::run(build_seg());
-    t3 = exec::run(build_back());
-  }
-  EXPECT_EQ(c1, t1);
-  EXPECT_EQ(c2, t2);
-  EXPECT_EQ(c3, t3);
+  exec::Executor ex;
+  const auto fwd =
+      ex.run(exec::source(s) | exec::map([](U v) { return v + 3; }) |
+             exec::scan<Plus>() | exec::map([](U v) { return 2 * v; }));
+  const exec::Stats fwd_stats = ex.stats();
+  std::vector<U> pre(in);
+  for (U& v : pre) v += 3;
+  auto expect = testutil::ref_exclusive_scan(std::span<const U>(pre),
+                                             Plus<U>{});
+  for (U& v : expect) v *= 2;
+  EXPECT_EQ(fwd, expect);
   if (thread::num_workers() > 1) {
-    EXPECT_EQ(chained_stats.pool_dispatches, 1u);  // fused group: one pass
+    EXPECT_EQ(fwd_stats.pool_dispatches, 1u);  // fused group: one pass
   }
+
+  expect = testutil::ref_seg_exclusive_scan(s, FlagsView(f), Plus<U>{});
+  for (U& v : expect) v ^= 5;
+  EXPECT_EQ(ex.run(exec::source(s) | exec::seg_scan<Plus>(FlagsView(f)) |
+                   exec::map([](U v) { return v ^ 5; })),
+            expect);
+
+  expect = testutil::ref_backward_exclusive_scan(s, Plus<U>{});
+  for (U& v : expect) v += 1;
+  EXPECT_EQ(ex.run(exec::source(s) | exec::backscan<Plus>() |
+                   exec::map([](U v) { return v + 1; })),
+            expect);
 }
 
 TEST(ChainedScan, PrimitivesBuiltOnScansWorkUnderChained) {
-  EngineGuard g(ScanEngine::kChained);
   const std::size_t n = 100000;
   const auto in = testutil::random_vector<long>(n, 47);
   Flags f(n);
@@ -377,7 +407,6 @@ TEST(ChainedScan, AbortAfterPrefixPublicationDoesNotRewritePrefix) {
     GTEST_SKIP() << "the chained dispatch needs a multi-worker pool";
   }
   fault::disarm_all();
-  EngineGuard g(ScanEngine::kChained);
   const std::size_t n = 8 * detail::chained_tile_elements<long>() + 9;
   const auto in = testutil::random_vector<long>(n, 93);
   const std::span<const long> s(in);
@@ -401,15 +430,6 @@ TEST(ChainedScan, AbortAfterPrefixPublicationDoesNotRewritePrefix) {
   fault::disarm_all();
   backward_exclusive_scan(s, std::span<long>(out), Plus<long>{});
   EXPECT_EQ(out, testutil::ref_backward_exclusive_scan(s, Plus<long>{}));
-}
-
-TEST(ChainedScan, EngineSelectionRoundTrips) {
-  const ScanEngine prev = scan_engine();
-  set_scan_engine(ScanEngine::kTwoPhase);
-  EXPECT_EQ(scan_engine(), ScanEngine::kTwoPhase);
-  set_scan_engine(ScanEngine::kChained);
-  EXPECT_EQ(scan_engine(), ScanEngine::kChained);
-  set_scan_engine(prev);
 }
 
 }  // namespace

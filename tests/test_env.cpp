@@ -61,6 +61,29 @@ TEST_F(EnvTest, SizeNonPositiveIsMalformed) {
   EXPECT_EQ(warning_count(), 1u);
 }
 
+// The inputs strtoll would half-accept: overflow, exponent and fraction
+// notation, a hex prefix. Each is malformed and takes the fallback.
+TEST_F(EnvTest, SizeEdgeSpellingsAreMalformed) {
+  for (const char* bad : {"99999999999999999999999999", "-300", "1e9", "3.5",
+                          "0x10"}) {
+    reset_warnings();
+    ::setenv("SCANPRIM_TEST_KNOB", bad, 1);
+    EXPECT_EQ(size_or("SCANPRIM_TEST_KNOB", 42, 1, 100), 42u) << bad;
+    EXPECT_EQ(warning_count(), 1u) << bad;
+  }
+}
+
+// The fallback is the caller's own default and comes back as given, even
+// outside [min, max]: knobs such as SCANPRIM_NET_PORT use 0 for "not set".
+TEST_F(EnvTest, SizeFallbackIsNotClamped) {
+  ::unsetenv("SCANPRIM_TEST_KNOB");
+  EXPECT_EQ(size_or("SCANPRIM_TEST_KNOB", 1000, 1, 100), 1000u);
+  EXPECT_EQ(size_or("SCANPRIM_TEST_KNOB", 0, 1, 100), 0u);
+  ::setenv("SCANPRIM_TEST_KNOB", "junk", 1);
+  EXPECT_EQ(size_or("SCANPRIM_TEST_KNOB", 1000, 1, 100), 1000u);
+  EXPECT_EQ(warning_count(), 1u);
+}
+
 TEST_F(EnvTest, SizeOutOfRangeWarnsAndClamps) {
   ::setenv("SCANPRIM_TEST_KNOB", "1000", 1);
   EXPECT_EQ(size_or("SCANPRIM_TEST_KNOB", 42, 1, 100), 100u);  // clamp high

@@ -290,10 +290,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ExecSweep,
 
 // --- stats -------------------------------------------------------------------
 
-TEST(ExecStats, FourStageChainRunsInAtMostTwoDispatchRounds) {
+TEST(ExecStats, FourStageChainRunsInOneDispatchRound) {
   // The acceptance bar of the fusing executor: map | scan | map | map is one
-  // fused group — two blocked passes (reduce + rescan) when parallel, one
-  // when serial — never one dispatch per stage.
+  // fused group — one chained pass when parallel, one sequential pass when
+  // serial — never one dispatch per stage.
   const auto in = testutil::random_vector<long>(1 << 16, 51);
   Executor ex;
   const auto out = ex.run(source(std::span<const long>(in)) |
@@ -305,7 +305,7 @@ TEST(ExecStats, FourStageChainRunsInAtMostTwoDispatchRounds) {
   EXPECT_EQ(s.stages_recorded, 5u);  // source + 4 stages
   EXPECT_EQ(s.groups, 1u);
   EXPECT_EQ(s.fused_groups, 1u);
-  EXPECT_LE(s.pool_dispatches, 2u);
+  EXPECT_EQ(s.pool_dispatches, 1u);
   EXPECT_GT(s.bytes_read, 0u);
   EXPECT_GT(s.bytes_written, 0u);
 }

@@ -263,30 +263,6 @@ TEST_F(Mem, PolicyOffMapsPlainPages) {
   trim_local(0);
 }
 
-// --- env spec parsing --------------------------------------------------------
-
-TEST_F(Mem, HugeSpecParsing) {
-  EXPECT_EQ(sanitize_huge_spec(nullptr), HugePolicy::kThp);
-  EXPECT_EQ(sanitize_huge_spec(""), HugePolicy::kThp);
-  EXPECT_EQ(sanitize_huge_spec("thp"), HugePolicy::kThp);
-  EXPECT_EQ(sanitize_huge_spec("1"), HugePolicy::kThp);
-  EXPECT_EQ(sanitize_huge_spec("garbage"), HugePolicy::kThp);
-  EXPECT_EQ(sanitize_huge_spec("0"), HugePolicy::kOff);
-  EXPECT_EQ(sanitize_huge_spec("off"), HugePolicy::kOff);
-  EXPECT_EQ(sanitize_huge_spec("none"), HugePolicy::kOff);
-  EXPECT_EQ(sanitize_huge_spec("FALSE"), HugePolicy::kOff);
-  EXPECT_EQ(sanitize_huge_spec(" hugetlb "), HugePolicy::kHugetlb);
-  EXPECT_EQ(sanitize_huge_spec("HugeTLB"), HugePolicy::kHugetlb);
-}
-
-TEST_F(Mem, NumaSpecParsing) {
-  EXPECT_EQ(sanitize_numa_spec(nullptr), NumaPolicy::kFirstTouch);
-  EXPECT_EQ(sanitize_numa_spec("firsttouch"), NumaPolicy::kFirstTouch);
-  EXPECT_EQ(sanitize_numa_spec("garbage"), NumaPolicy::kFirstTouch);
-  EXPECT_EQ(sanitize_numa_spec("interleave"), NumaPolicy::kInterleave);
-  EXPECT_EQ(sanitize_numa_spec(" INTERLEAVED "), NumaPolicy::kInterleave);
-}
-
 TEST_F(Mem, NumaQueriesAreSane) {
   // With libnuma absent (or the kernel refusing) these are the stub values;
   // with it present the count must still be positive. Either way an

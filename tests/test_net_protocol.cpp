@@ -298,7 +298,15 @@ TEST(NetRobustness, MidFlightDisconnectLeaksNothing) {
   drain_in_flight(rs);
   rs.svc.set_window_us(1);
   expect_still_serving(rs);
-  EXPECT_EQ(rs.server.stats().open, 0u);  // every connection reaped
+  // Every connection is reaped, eventually: the server's io thread closes
+  // `good` only after it reads the EOF that ~Client sent, ~0.1 ms after
+  // expect_still_serving returns, so wait for it under a deadline.
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (rs.server.stats().open != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(rs.server.stats().open, 0u);
 }
 
 TEST(NetRobustness, PipelinedMixOfGoodAndBadFramesStopsAtTheBadOne) {

@@ -23,7 +23,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/runtime.hpp"
+#include "src/core/env.hpp"
 #include "src/fault/fault.hpp"
 #include "src/plan/coalesce.hpp"
 #include "src/serve/service.hpp"
@@ -97,6 +97,21 @@ void expect_agree(const std::string& src,
   EXPECT_NEAR(i.stats.bit_cycles, c.stats.bit_cycles,
               1e-6 * std::max(1.0, std::abs(i.stats.bit_cycles)))
       << src;
+}
+
+// The compiled path wraps exactly like the interpreter at the int64
+// extremes (core/ops.hpp's rule), including INT64_MIN / -1.
+TEST(PlanAgreement, Int64ExtremesWrapIdentically) {
+  const std::map<std::string, Vec> regs{
+      {"a", Vec{std::numeric_limits<std::int64_t>::max(),
+                std::numeric_limits<std::int64_t>::min(), -1, 0, 1}},
+      {"m", Vec{-1, -1, -1, -1, -1}}};
+  for (const char* op : {"add", "sub", "mul", "div", "mod"}) {
+    expect_agree(std::string("load a\nload m\n") + op +
+                     "\nload a\nadd\nprint\nhalt",
+                 regs);
+  }
+  expect_agree("load a\nneg\nprint\nload a\n+scan\nprint\nhalt", regs);
 }
 
 TEST(PlanAgreement, DirectedPrograms) {
@@ -1019,8 +1034,7 @@ TEST(PlanServe, PlanJobsMixWithScanBatches) {
 // --- environment -------------------------------------------------------------
 
 TEST(PlanEnv, EnabledMatchesEnvironment) {
-  EXPECT_EQ(plan::enabled(),
-            sanitize_flag_spec(std::getenv("SCANPRIM_PLAN"), true));
+  EXPECT_EQ(plan::enabled(), env::flag_or("SCANPRIM_PLAN", true));
 }
 
 }  // namespace

@@ -7,80 +7,6 @@
 namespace scanprim {
 namespace {
 
-TEST(SanitizeWorkerSpec, NullAndEmptyFallBack) {
-  EXPECT_EQ(sanitize_worker_spec(nullptr, 4), 4u);
-  EXPECT_EQ(sanitize_worker_spec("", 4), 4u);
-  EXPECT_EQ(sanitize_worker_spec("   ", 4), 4u);
-}
-
-TEST(SanitizeWorkerSpec, NonNumericFallsBack) {
-  EXPECT_EQ(sanitize_worker_spec("abc", 4), 4u);
-  EXPECT_EQ(sanitize_worker_spec("four", 4), 4u);
-  EXPECT_EQ(sanitize_worker_spec("0x10", 4), 4u);  // trailing garbage
-  EXPECT_EQ(sanitize_worker_spec("8 threads", 4), 4u);
-  EXPECT_EQ(sanitize_worker_spec("1e9", 4), 4u);
-  EXPECT_EQ(sanitize_worker_spec("3.5", 4), 4u);
-}
-
-TEST(SanitizeWorkerSpec, ZeroAndNegativeFallBack) {
-  EXPECT_EQ(sanitize_worker_spec("0", 4), 4u);
-  EXPECT_EQ(sanitize_worker_spec("-1", 4), 4u);
-  EXPECT_EQ(sanitize_worker_spec("-300", 4), 4u);
-}
-
-TEST(SanitizeWorkerSpec, OverflowFallsBack) {
-  EXPECT_EQ(sanitize_worker_spec("99999999999999999999999999", 4), 4u);
-  EXPECT_EQ(sanitize_worker_spec("-99999999999999999999999999", 4), 4u);
-}
-
-TEST(SanitizeWorkerSpec, ValidValuesParse) {
-  EXPECT_EQ(sanitize_worker_spec("1", 4), 1u);
-  EXPECT_EQ(sanitize_worker_spec("16", 4), 16u);
-  EXPECT_EQ(sanitize_worker_spec("  8  ", 4), 8u);  // surrounding whitespace
-  EXPECT_EQ(sanitize_worker_spec("512", 4), 512u);
-}
-
-TEST(SanitizeWorkerSpec, AbsurdValuesClampToMax) {
-  EXPECT_EQ(sanitize_worker_spec("513", 4), kMaxWorkers);
-  EXPECT_EQ(sanitize_worker_spec("1000000", 4), kMaxWorkers);
-  EXPECT_EQ(sanitize_worker_spec(std::to_string(kMaxWorkers).c_str(), 4),
-            kMaxWorkers);
-}
-
-TEST(SanitizeWorkerSpec, DegenerateFallbackIsRepaired) {
-  EXPECT_EQ(sanitize_worker_spec("junk", 0), 1u);
-  EXPECT_EQ(sanitize_worker_spec(nullptr, 100000), kMaxWorkers);
-}
-
-TEST(SanitizeEngineSpec, TwoPhaseSpellings) {
-  EXPECT_EQ(sanitize_engine_spec("twophase"), ScanEngine::kTwoPhase);
-  EXPECT_EQ(sanitize_engine_spec("TwoPhase"), ScanEngine::kTwoPhase);
-  EXPECT_EQ(sanitize_engine_spec("  two-phase "), ScanEngine::kTwoPhase);
-  EXPECT_EQ(sanitize_engine_spec("2phase"), ScanEngine::kTwoPhase);
-}
-
-TEST(SanitizeEngineSpec, EverythingElseIsChained) {
-  EXPECT_EQ(sanitize_engine_spec(nullptr), ScanEngine::kChained);
-  EXPECT_EQ(sanitize_engine_spec(""), ScanEngine::kChained);
-  EXPECT_EQ(sanitize_engine_spec("chained"), ScanEngine::kChained);
-  EXPECT_EQ(sanitize_engine_spec("CHAINED"), ScanEngine::kChained);
-  EXPECT_EQ(sanitize_engine_spec("junk"), ScanEngine::kChained);
-}
-
-TEST(SanitizeBoundsSpec, OptOutSpellings) {
-  EXPECT_FALSE(sanitize_bounds_spec("0"));
-  EXPECT_FALSE(sanitize_bounds_spec("off"));
-  EXPECT_FALSE(sanitize_bounds_spec(" FALSE "));
-}
-
-TEST(SanitizeBoundsSpec, DefaultsOn) {
-  EXPECT_TRUE(sanitize_bounds_spec(nullptr));
-  EXPECT_TRUE(sanitize_bounds_spec(""));
-  EXPECT_TRUE(sanitize_bounds_spec("1"));
-  EXPECT_TRUE(sanitize_bounds_spec("on"));
-  EXPECT_TRUE(sanitize_bounds_spec("junk"));
-}
-
 TEST(Runtime, BoundsCheckingRoundTrips) {
   const bool prev = bounds_checking();
   set_bounds_checking(false);

@@ -7,7 +7,6 @@
 #include <random>
 
 #include "src/core/primitives.hpp"
-#include "src/core/runtime.hpp"
 #include "test_util.hpp"
 
 namespace scanprim {
@@ -125,17 +124,6 @@ TEST(Segmented, AllFlagsMakesEverySegmentAUnit) {
 // both flavours, over shapes built from zero-length and single-element
 // segments, at sizes that put several tiles in flight.
 
-class ChainedEngineGuard {
- public:
-  ChainedEngineGuard() : prev_(scan_engine()) {
-    set_scan_engine(ScanEngine::kChained);
-  }
-  ~ChainedEngineGuard() { set_scan_engine(prev_); }
-
- private:
-  ScanEngine prev_;
-};
-
 template <class Op>
 void expect_all_directions_match(std::span<const long> in, FlagsView f,
                                  Op op) {
@@ -161,7 +149,6 @@ void expect_all_ops_match(std::span<const long> in, FlagsView f) {
 class DegenerateSegments : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(DegenerateSegments, AllSingleElementSegments) {
-  ChainedEngineGuard g;
   const std::size_t n = GetParam();
   const auto in = testutil::random_vector<long>(n, 41, 2);
   const Flags f(n, 1);  // every element its own segment
@@ -169,7 +156,6 @@ TEST_P(DegenerateSegments, AllSingleElementSegments) {
 }
 
 TEST_P(DegenerateSegments, SingleElementSegmentsAtTheEnds) {
-  ChainedEngineGuard g;
   const std::size_t n = GetParam();
   const auto in = testutil::random_vector<long>(n, 42, 2);
   Flags f(n, 0);
@@ -183,7 +169,6 @@ TEST_P(DegenerateSegments, SingleElementSegmentsAtTheEnds) {
 }
 
 TEST_P(DegenerateSegments, ZeroLengthSegmentsVanishFromAllocation) {
-  ChainedEngineGuard g;
   const std::size_t n = GetParam();
   // Segment sizes with zero-length requests interleaved: allocate() writes
   // no flag for them, so they must not perturb their neighbours' scans.

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <typeinfo>
@@ -187,23 +188,80 @@ TEST_P(SimdTiers, FullScansBitMatchAcrossTiers) {
                                                   Plus<long>{}));
 }
 
+// Integer + wraps mod 2^64 (core/ops.hpp). Runs of INT64_MAX and INT64_MIN
+// overflow on almost every element; every tier, every flavour, and the
+// chained engine above the serial cutoff must give the result an unsigned
+// accumulator gives, with no UBSan report.
+TEST_P(SimdTiers, Int64ExtremesWrapOnEveryTier) {
+  using I = std::int64_t;
+  constexpr I kMax = std::numeric_limits<I>::max();
+  constexpr I kMin = std::numeric_limits<I>::min();
+  TierGuard g(GetParam());
+  std::vector<std::size_t> sizes = awkward_sizes<I>();
+  sizes.push_back(3 * detail::chained_tile_elements<I>() + 41);
+  for (const std::size_t n : sizes) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    std::vector<I> in(n);
+    for (std::size_t i = 0; i < n; ++i) in[i] = i % 3 == 2 ? kMin : kMax;
+    const Flags f = testutil::random_flags(n, n + 5, 11);
+    const std::span<const I> s(in);
+    const FlagsView fv(f);
+
+    std::vector<I> want(n), got(n);
+    std::uint64_t acc = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      want[i] = static_cast<I>(acc);
+      acc += static_cast<std::uint64_t>(in[i]);
+    }
+    exclusive_scan(s, std::span<I>(got), Plus<I>{});
+    ASSERT_EQ(got, want);
+    ASSERT_EQ(reduce(s, Plus<I>{}), static_cast<I>(acc));
+
+    inclusive_scan(s, std::span<I>(got), Plus<I>{});
+    ASSERT_EQ(got, testutil::ref_inclusive_scan(s, Plus<I>{}));
+    backward_exclusive_scan(s, std::span<I>(got), Plus<I>{});
+    ASSERT_EQ(got, testutil::ref_backward_exclusive_scan(s, Plus<I>{}));
+    seg_inclusive_scan(s, fv, std::span<I>(got), Plus<I>{});
+    ASSERT_EQ(got, testutil::ref_seg_inclusive_scan(s, fv, Plus<I>{}));
+    seg_backward_exclusive_scan(s, fv, std::span<I>(got), Plus<I>{});
+    ASSERT_EQ(got, testutil::ref_seg_backward_exclusive_scan(s, fv, Plus<I>{}));
+    inclusive_scan(s, std::span<I>(got), Max<I>{});
+    ASSERT_EQ(got, testutil::ref_inclusive_scan(s, Max<I>{}));
+    backward_exclusive_scan(s, std::span<I>(got), Min<I>{});
+    ASSERT_EQ(got, testutil::ref_backward_exclusive_scan(s, Min<I>{}));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Available, SimdTiers,
                          ::testing::ValuesIn(available_tiers()),
                          [](const auto& info) {
                            return std::string(simd::tier_name(info.param));
                          });
 
-TEST(SimdDispatch, SpecParsingAndClamping) {
-  EXPECT_EQ(simd::sanitize_simd_spec("scalar"), simd::Tier::kScalar);
-  EXPECT_EQ(simd::sanitize_simd_spec("off"), simd::Tier::kScalar);
-  EXPECT_EQ(simd::sanitize_simd_spec("  SCALAR  "), simd::Tier::kScalar);
-  EXPECT_EQ(simd::sanitize_simd_spec(nullptr), simd::best_supported_tier());
-  EXPECT_EQ(simd::sanitize_simd_spec("auto"), simd::best_supported_tier());
-  EXPECT_EQ(simd::sanitize_simd_spec("bogus"), simd::best_supported_tier());
-  // Requests never exceed what the CPU has.
-  EXPECT_LE(simd::sanitize_simd_spec("avx512"), simd::best_supported_tier());
-  EXPECT_LE(simd::sanitize_simd_spec("avx2"), simd::best_supported_tier());
+// The wrap rule of core/ops.hpp, outside the vector kernels: the paper's
+// example of three INT64_MAX values, Times on both signed and promoted
+// short types, and the serve batcher's job scans.
+TEST(IntegerWrap, OperatorsAndBatchPathWrap) {
+  using I = std::int64_t;
+  constexpr I kMax = std::numeric_limits<I>::max();
+  constexpr I kMin = std::numeric_limits<I>::min();
+  EXPECT_EQ(plus_scan(std::span<const I>(std::vector<I>{kMax, kMax, kMax})),
+            (std::vector<I>{0, kMax, -2}));
+  EXPECT_EQ(Plus<I>{}(kMin, -1), kMax);
+  EXPECT_EQ(Times<I>{}(kMax, 2), -2);
+  EXPECT_EQ(Times<I>{}(kMin, -1), kMin);
+  EXPECT_EQ(Times<std::int16_t>{}(32767, 32767), 1);
+  EXPECT_EQ(Times<std::uint16_t>{}(65535, 65535), 1);
 
+  std::vector<batch::Value> data{kMax, kMax, kMax};
+  batch::JobSlice job;  // kPlus, exclusive, one segment
+  job.data = data.data();
+  job.n = data.size();
+  batch::seg_scan_jobs(std::span<const batch::JobSlice>(&job, 1), false);
+  EXPECT_EQ(data, (std::vector<batch::Value>{0, kMax, -2}));
+}
+
+TEST(SimdDispatch, TierOverrideClampsAndNames) {
   const simd::Tier prev = simd::active_tier();
   simd::set_simd_tier(simd::Tier::kScalar);
   EXPECT_EQ(simd::active_tier(), simd::Tier::kScalar);

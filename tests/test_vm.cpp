@@ -5,6 +5,7 @@
 #include "src/vm/interpreter.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -116,6 +117,31 @@ TEST(Interpreter, ArithmeticAndBroadcast) {
       halt
   )");
   EXPECT_EQ(out, (Vec{20, 22, 24, 26, 28}));
+}
+
+// Integer arithmetic wraps in two's complement (core/ops.hpp), so every
+// instruction has defined results at the int64 extremes.
+TEST(Interpreter, ArithmeticWrapsAtInt64Extremes) {
+  using I64 = std::int64_t;
+  constexpr I64 kMax = std::numeric_limits<I64>::max();
+  constexpr I64 kMin = std::numeric_limits<I64>::min();
+  machine::Machine m;
+  const std::map<std::string, Vec> regs{{"a", Vec{kMax, kMin, -1, 0, 1}},
+                                        {"m", Vec{-1}}};
+  EXPECT_EQ(run_and_take(m, "load a\nload a\nadd\nprint\nhalt", regs),
+            (Vec{-2, 0, -2, 0, 2}));
+  EXPECT_EQ(run_and_take(m, "load a\nconst 1 1\nsub\nprint\nhalt", regs),
+            (Vec{kMax - 1, kMax, -2, -1, 0}));
+  EXPECT_EQ(run_and_take(m, "load a\nconst 1 3\nmul\nprint\nhalt", regs),
+            (Vec{kMax - 2, kMin, -3, 0, 3}));
+  EXPECT_EQ(run_and_take(m, "load a\nneg\nprint\nhalt", regs),
+            (Vec{kMin + 1, kMin, 1, 0, -1}));
+  EXPECT_EQ(run_and_take(m, "load a\nload m\ndiv\nprint\nhalt", regs),
+            (Vec{kMin + 1, kMin, 1, 0, -1}));
+  EXPECT_EQ(run_and_take(m, "load a\nload m\nmod\nprint\nhalt", regs),
+            (Vec{0, 0, 0, 0, 0}));
+  EXPECT_EQ(run_and_take(m, "load a\n+scan\nprint\nhalt", regs),
+            (Vec{0, kMax, -1, -2, -2}));
 }
 
 TEST(Interpreter, ScansMatchTheLibrary) {
