@@ -3,10 +3,13 @@
 // (Executor::Options{.fuse = false}), at n = 2^20 .. 2^24. The fused plan
 // must win by cutting passes over memory: a map | +-scan | map chain is one
 // chained pass fused versus one-plus per stage eager. A second table times
-// the fused scan groups on the chained (single-pass) engine and checks them
-// against sequential reference loops.
+// split on the blocked split kernel against a +-scan of the same n (ROADMAP
+// bound: split <= 4x +-scan). A third times the fused scan groups on the
+// chained (single-pass) engine and checks them against sequential
+// reference loops.
 //
 // Results go to stdout as a table and to BENCH_pipeline.json.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -106,31 +109,51 @@ int main() {
     }
   }
 
-  // The fused split against its eager Fig. 3 formulation (different code
-  // paths end to end, so timed separately rather than via compare()).
+  // split (Fig. 3) on the blocked split kernel against one +-scan of the
+  // same n: the paper charges split O(1) scans, so its wall-clock should be
+  // a small multiple of a scan's. Both write into preallocated buffers; the
+  // output is checked against a sequential stable partition.
+  bench::header("split: blocked kernel vs +-scan");
+  bench::row({"n", "split ms", "+-scan ms", "ratio", "match"});
+  double worst_ratio = 0;
   for (const std::size_t n : sizes) {
     const int reps = n >= (std::size_t{1} << 24) ? 3 : 5;
     const auto in = bench::random_keys<U>(n, 13 + n, 1u << 20);
     const auto flags = bench::random_keys<std::uint8_t>(n, 17 + n, 2);
     const std::span<const U> s(in);
     const FlagsView fv(flags);
-    exec::Executor ex;
-    const bool match = exec::fused::split(ex, s, fv) == split(s, fv);
+    std::vector<U> expect;
+    expect.reserve(n);
+    for (const std::uint8_t side : {0, 1}) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (flags[i] == side) expect.push_back(in[i]);
+      }
+    }
+    std::vector<U> out(n);
+    split_into(s, fv, std::span<U>(out));
+    const bool match = out == expect;
     all_match = all_match && match;
-    const double fused_ms =
-        best_of_ms(reps, [&] { exec::fused::split(ex, s, fv); });
-    const double eager_ms = best_of_ms(reps, [&] { split(s, fv); });
-    bench::row({"split", bench::fmt_u(n), bench::fmt(fused_ms, 3),
-                bench::fmt(eager_ms, 3), bench::fmt(eager_ms / fused_ms, 2),
-                "-", match ? "yes" : "NO"});
+    const double split_ms =
+        best_of_ms(reps, [&] { split_into(s, fv, std::span<U>(out)); });
+    const double scan_ms = best_of_ms(reps, [&] {
+      exclusive_scan(s, std::span<U>(out), Plus<U>{});
+    });
+    const double ratio = split_ms / scan_ms;
+    worst_ratio = std::max(worst_ratio, ratio);
+    bench::row({bench::fmt_u(n), bench::fmt(split_ms, 3),
+                bench::fmt(scan_ms, 3), bench::fmt(ratio, 2),
+                match ? "yes" : "NO"});
     json.field("workload", "split")
         .field("n", n)
-        .field("fused_ms", fused_ms)
-        .field("eager_ms", eager_ms)
-        .field("speedup", eager_ms / fused_ms)
+        .field("split_ms", split_ms)
+        .field("scan_ms", scan_ms)
+        .field("split_scan_ratio", ratio)
         .field("match", match)
         .end_object();
   }
+  std::printf(
+      "acceptance: split <= 4x +-scan at 2^20..2^24: %s (worst %.2fx)\n",
+      worst_ratio <= 4.0 ? "met" : "MISSED", worst_ratio);
 
   // Fused scan groups on the chained engine: one dispatch and ~2n traffic
   // per group, checked against a sequential loop of the same program.

@@ -1,12 +1,16 @@
+// Split radix sort (§2.2.1, Fig. 2). Each bit's split runs on the blocked
+// split kernel (scanprim::detail::split_run, Fig. 3's enumerates computed
+// over Fig. 10's blocks) with the bit test fused in, ping-ponging between
+// two buffers allocated once per sort. The Machine charges stay the paper's.
 #include "src/algo/radix_sort.hpp"
 
 #include <algorithm>
 #include <cassert>
-
-#include "src/core/simulate.hpp"
-#include "src/exec/executor.hpp"
-
+#include <memory>
 #include <string>
+
+#include "src/core/primitives.hpp"
+#include "src/core/simulate.hpp"
 
 namespace scanprim::algo {
 
@@ -19,21 +23,18 @@ unsigned bits_for(std::uint64_t bound) {
 
 namespace {
 
-Flags bit_of(machine::Machine& m, std::span<const std::uint64_t> keys,
-             unsigned bit) {
-  return m.map<std::uint8_t>(keys, [bit](std::uint64_t k) -> std::uint8_t {
-    return (k >> bit) & 1;
-  });
+/// Fig. 2's loop body: bit extraction, split_index, permute of the keys.
+void charge_bit_split(machine::Machine& m, std::size_t n) {
+  m.charge_elementwise(n);
+  m.charge_split_index(n);
+  m.charge_permute(n);
 }
 
-// The split compute path runs through the fusing pipeline executor
-// (exec::fused::split_index), but the cost model must charge exactly what
-// Machine::split_index charges: flag inversion, two enumerate scans, select.
-void charge_split_index(machine::Machine& m, std::size_t n) {
-  m.charge_elementwise(n);
-  m.charge_scan(n);
-  m.charge_scan(n);
-  m.charge_elementwise(n);
+/// Splits on bit `b` of the keys `k`; `mv(i, d)` moves element i to d.
+template <class Move>
+void split_on_bit(const std::uint64_t* k, std::size_t n, unsigned b, Move mv) {
+  detail::split_run(
+      n, [=](std::size_t i) -> std::size_t { return (k[i] >> b) & 1; }, mv);
 }
 
 }  // namespace
@@ -41,39 +42,41 @@ void charge_split_index(machine::Machine& m, std::size_t n) {
 std::vector<std::uint64_t> split_radix_sort(machine::Machine& m,
                                             std::span<const std::uint64_t> keys,
                                             unsigned bits) {
-  exec::Executor ex;
-  std::vector<std::uint64_t> a(keys.begin(), keys.end());
-  const std::size_t n = a.size();
+  const std::size_t n = keys.size();
+  if (bits == 0) return {keys.begin(), keys.end()};
+  // The first pass reads `keys`; the passes alternate between `out` and an
+  // uninitialised scratch buffer so that the last one lands in `out`.
+  std::vector<std::uint64_t> out(n);
+  const auto scratch = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+  const std::uint64_t* src = keys.data();
   for (unsigned bit = 0; bit < bits; ++bit) {
-    const Flags flags = bit_of(m, std::span<const std::uint64_t>(a), bit);
-    charge_split_index(m, n);
-    const std::vector<std::size_t> index =
-        exec::fused::split_index(ex, FlagsView(flags));
-    m.charge_permute(n);
-    a = ex.run(exec::source(std::span<const std::uint64_t>(a)) |
-               exec::permute(std::span<const std::size_t>(index)));
+    charge_bit_split(m, n);
+    std::uint64_t* dst = (bits - bit) % 2 ? out.data() : scratch.get();
+    split_on_bit(src, n, bit,
+                 [=](std::size_t i, std::size_t d) { dst[d] = src[i]; });
+    src = dst;
   }
-  return a;
+  return out;
 }
 
 SortWithOrigin split_radix_sort_with_origin(
     machine::Machine& m, std::span<const std::uint64_t> keys, unsigned bits) {
-  exec::Executor ex;
-  SortWithOrigin r;
-  r.keys.assign(keys.begin(), keys.end());
-  r.origin = m.iota(keys.size());
   const std::size_t n = keys.size();
+  SortWithOrigin r{{keys.begin(), keys.end()}, m.iota(n)};
+  std::vector<std::uint64_t> keys2(n);
+  std::vector<std::size_t> origin2(n);
   for (unsigned bit = 0; bit < bits; ++bit) {
-    const Flags flags = bit_of(m, std::span<const std::uint64_t>(r.keys), bit);
-    charge_split_index(m, n);
-    const std::vector<std::size_t> index =
-        exec::fused::split_index(ex, FlagsView(flags));
-    m.charge_permute(n);
-    r.keys = ex.run(exec::source(std::span<const std::uint64_t>(r.keys)) |
-                    exec::permute(std::span<const std::size_t>(index)));
-    m.charge_permute(n);
-    r.origin = ex.run(exec::source(std::span<const std::size_t>(r.origin)) |
-                      exec::permute(std::span<const std::size_t>(index)));
+    charge_bit_split(m, n);
+    m.charge_permute(n);  // the origin, moved in the same scatter pass
+    split_on_bit(r.keys.data(), n, bit,
+                 [src = r.keys.data(), org = r.origin.data(),
+                  dst = keys2.data(),
+                  dst_org = origin2.data()](std::size_t i, std::size_t d) {
+                   dst[d] = src[i];
+                   dst_org[d] = org[i];
+                 });
+    r.keys.swap(keys2);
+    r.origin.swap(origin2);
   }
   return r;
 }

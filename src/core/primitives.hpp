@@ -3,6 +3,8 @@
 //   split (§2.2.1, Fig. 3), pack (§2.5, Fig. 11), allocate (§2.4, Fig. 8),
 // plus their segmented versions (used by quicksort §2.3.1 and star-merge
 // §2.3.3). Every operation costs O(1) program steps in the scan model.
+// split runs on one blocked kernel, detail::split_run: Fig. 3's enumerates
+// computed over Fig. 10's long-vector blocks.
 #pragma once
 
 #include <cassert>
@@ -151,18 +153,6 @@ inline std::size_t count_flags(FlagsView flags) {
   return total;
 }
 
-/// Segmented enumerate: numbers flagged elements relative to the start of
-/// their segment (used by the segmented split in quicksort, §2.3.1).
-inline std::vector<std::size_t> seg_enumerate(FlagsView flags,
-                                              FlagsView segments) {
-  std::vector<std::size_t> ints(flags.size());
-  map(flags, std::span<std::size_t>(ints),
-      [](std::uint8_t f) -> std::size_t { return f ? 1 : 0; });
-  seg_exclusive_scan(std::span<const std::size_t>(ints), segments,
-                     std::span<std::size_t>(ints), Plus<std::size_t>{});
-  return ints;
-}
-
 // ---------------------------------------------------------------------------
 // copy / distribute (§2.2, Fig. 1)
 // ---------------------------------------------------------------------------
@@ -222,32 +212,37 @@ std::vector<T> seg_distribute(std::span<const T> in, FlagsView segments,
 // split / pack (§2.2.1 Fig. 3, §2.5 Fig. 11)
 // ---------------------------------------------------------------------------
 
-/// Destination index for each element under split: false flags pack to the
-/// bottom (keeping order), true flags pack to the top (keeping order).
-inline std::vector<std::size_t> split_index(FlagsView flags) {
-  const std::size_t n = flags.size();
-  std::vector<std::uint8_t> not_flags(n);
-  map(flags, std::span<std::uint8_t>(not_flags),
-      [](std::uint8_t f) -> std::uint8_t { return f ? 0 : 1; });
-  std::vector<std::size_t> down = enumerate(FlagsView(not_flags));
-  std::vector<std::size_t> up = back_enumerate(flags);
-  std::vector<std::size_t> index(n);
-  thread::parallel_for(n, [&](std::size_t i) {
-    index[i] = flags[i] ? n - up[i] - 1 : down[i];
-  });
-  return index;
-}
-
-/// split: F elements to the bottom, T elements to the top, order preserved
-/// within both groups (Fig. 3).
-template <class T>
-std::vector<T> split(std::span<const T> in, FlagsView flags) {
-  assert(in.size() == flags.size());
-  const std::vector<std::size_t> index = split_index(flags);
-  return permuted(in, std::span<const std::size_t>(index));
-}
-
 namespace detail {
+
+/// The stable two-way partition every split runs on, with Fig. 3's
+/// enumerates computed blockwise (Fig. 10): each block counts its set flags,
+/// a serial scan of the counts gives each block the ones before it, and the
+/// block sends a zero at i to i - ones_seen and a one to zeros + ones_seen,
+/// writing two contiguous runs. `flag_of(i)` is 0 or 1; `emit(i, dest)`
+/// moves element i. No n-sized temporaries; small n runs as one block.
+template <class FlagOf, class Emit>
+void split_run(std::size_t n, FlagOf flag_of, Emit emit) {
+  std::vector<std::size_t> ones_before(thread::num_workers(), 0);
+  thread::parallel_blocks(n, [&](thread::Block blk, std::size_t w) {
+    std::size_t ones = 0;
+    for (std::size_t i = blk.begin; i < blk.end; ++i) ones += flag_of(i);
+    ones_before[w] = ones;
+  });
+  std::size_t ones = 0;
+  for (std::size_t& c : ones_before) ones += std::exchange(c, ones);
+  const std::size_t zeros = n - ones;
+  thread::parallel_blocks(n, [&](thread::Block blk, std::size_t w) {
+    // A local, not a capture: a size_t stored through emit could alias it.
+    const std::size_t top = zeros;
+    std::size_t ones_seen = ones_before[w];
+    for (std::size_t i = blk.begin; i < blk.end; ++i) {
+      const std::size_t f = flag_of(i);
+      const std::size_t one = 0 - f;  // a mask: `f ? :` would branch
+      emit(i, ((i - ones_seen) & ~one) | ((top + ones_seen) & one));
+      ones_seen += f;
+    }
+  });
+}
 
 /// The number of set flags, read off the enumerate scan's final carry (the
 /// last exclusive prefix plus the last flag) instead of a second full pass.
@@ -257,7 +252,41 @@ inline std::size_t kept_from_enumerate(const std::vector<std::size_t>& dest,
   return n == 0 ? 0 : dest[n - 1] + (flags[n - 1] ? 1 : 0);
 }
 
+/// split_run's flag_of over a flag vector: any nonzero byte is a 1.
+inline auto flag_at(FlagsView f) {
+  return [p = f.data()](std::size_t i) -> std::size_t { return p[i] != 0; };
+}
+
 }  // namespace detail
+
+/// split (Fig. 3) into a caller's buffer: F elements to the bottom, T
+/// elements to the top, order preserved within both groups.
+template <class T>
+void split_into(std::span<const T> in, FlagsView flags, std::span<T> out) {
+  assert(in.size() == flags.size() && in.size() == out.size());
+  detail::split_run(
+      in.size(), detail::flag_at(flags),
+      [src = in.data(), dst = out.data()](std::size_t i, std::size_t d) {
+        dst[d] = src[i];
+      });
+}
+
+/// split into a new vector.
+template <class T>
+std::vector<T> split(std::span<const T> in, FlagsView flags) {
+  std::vector<T> out(in.size());
+  split_into(in, flags, std::span<T>(out));
+  return out;
+}
+
+/// Destination index for each element under split.
+inline std::vector<std::size_t> split_index(FlagsView flags) {
+  std::vector<std::size_t> index(flags.size());
+  detail::split_run(
+      flags.size(), detail::flag_at(flags),
+      [dst = index.data()](std::size_t i, std::size_t d) { dst[i] = d; });
+  return index;
+}
 
 /// pack: drops unflagged elements, compacting the flagged ones into a new,
 /// shorter vector (the load-balancing step of Fig. 11).

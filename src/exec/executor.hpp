@@ -477,47 +477,8 @@ std::vector<T> run(const Pipeline<T>& p, Stats* stats = nullptr) {
 }
 
 // --- fused formulations of the paper's compound operations -------------------
-// These are the pipeline ports the algorithm layer uses (radix sort's split,
-// quicksort's segmented ranking); they are also golden-tested against the
-// eager primitives in tests/test_exec_pipeline.cpp.
+// Golden-tested against the eager primitives in tests/test_exec_pipeline.cpp.
 namespace fused {
-
-/// split_index (Fig. 3) as two fused pipelines: the down-enumerate is one
-/// scan group, and the up-enumerate, top-index arithmetic, and final select
-/// all fuse into a single backward-scan group.
-inline std::vector<std::size_t> split_index(Executor& ex, FlagsView flags) {
-  const std::size_t n = flags.size();
-  const auto down = ex.run(
-      source_as<std::size_t>(flags,
-                             [](std::uint8_t f) -> std::size_t {
-                               return f ? 0 : 1;
-                             }) |
-      exec::scan<Plus>());
-  constexpr std::size_t kTakeDown = static_cast<std::size_t>(-1);
-  return ex.run(
-      source_as<std::size_t>(flags,
-                             [](std::uint8_t f) -> std::size_t {
-                               return f ? 1 : 0;
-                             }) |
-      exec::backscan<Plus>() |
-      exec::zip(flags,
-                [n](std::size_t up, std::uint8_t f) -> std::size_t {
-                  return f ? n - up - 1 : kTakeDown;
-                }) |
-      exec::zip(std::span<const std::size_t>(down),
-                [](std::size_t top, std::size_t d) {
-                  return top == kTakeDown ? d : top;
-                }));
-}
-
-/// split (Fig. 3) through the pipeline path.
-template <class T>
-std::vector<T> split(Executor& ex, std::span<const T> in, FlagsView flags) {
-  assert(in.size() == flags.size());
-  const auto index = split_index(ex, flags);
-  return ex.run(exec::source(in) |
-                exec::permute(std::span<const std::size_t>(index)));
-}
 
 /// pack (Fig. 11) through the pipeline path.
 template <class T>

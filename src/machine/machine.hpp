@@ -403,18 +403,24 @@ class Machine {
 
   // --- split / pack / allocate ---------------------------------------------------
 
+  /// Fig. 3's split_index: flag inversion, enumerate, back-enumerate, select.
+  void charge_split_index(std::size_t n) {
+    charge_elementwise(n);
+    charge_scan(n);
+    charge_scan(n);
+    charge_elementwise(n);
+  }
+
   std::vector<std::size_t> split_index(FlagsView flags) {
-    charge_elementwise(flags.size());  // flag inversion
-    charge_scan(flags.size());         // enumerate (down)
-    charge_scan(flags.size());         // back-enumerate (up)
-    charge_elementwise(flags.size());  // select
+    charge_split_index(flags.size());
     return scanprim::split_index(flags);
   }
 
   template <class T>
   std::vector<T> split(std::span<const T> in, FlagsView flags) {
-    auto index = split_index(flags);
-    return permute(in, std::span<const std::size_t>(index));
+    charge_split_index(in.size());
+    charge_permute(in.size());
+    return scanprim::split(in, flags);
   }
 
   template <class T>

@@ -35,6 +35,7 @@ void put_str(std::string& out, const std::string& s) {
 void put_vec(std::string& out, const std::vector<Value>& v) {
   if (v.size() > 0xffffffffu) throw ProtocolError("vector too long to encode");
   put_le<std::uint32_t>(out, static_cast<std::uint32_t>(v.size()));
+  if (v.empty()) return;  // v.data() may be null: no memcpy from it
   const std::size_t at = out.size();
   out.resize(at + v.size() * sizeof(Value));
   std::memcpy(out.data() + at, v.data(), v.size() * sizeof(Value));
@@ -74,7 +75,7 @@ class Reader {
     // Validate the count against the bytes present before allocating.
     const std::uint8_t* p = take(n * sizeof(Value));
     std::vector<Value> v(n);
-    std::memcpy(v.data(), p, n * sizeof(Value));
+    if (n > 0) std::memcpy(v.data(), p, n * sizeof(Value));
     return v;
   }
 

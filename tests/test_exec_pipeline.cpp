@@ -267,7 +267,7 @@ TEST_P(ExecSweep, UnfusedPlanMatchesFusedPlan) {
   EXPECT_LE(fused_ex.stats().groups, eager_ex.stats().groups);
 }
 
-TEST_P(ExecSweep, FusedSplitMatchesEagerSplit) {
+TEST_P(ExecSweep, FusedPackMatchesEagerPack) {
   const std::size_t n = GetParam();
   const auto in = testutil::random_vector<long>(n, 49);
   const Flags flags = [&] {
@@ -277,10 +277,6 @@ TEST_P(ExecSweep, FusedSplitMatchesEagerSplit) {
     return f;
   }();
   Executor ex;
-  EXPECT_EQ(fused::split_index(ex, FlagsView(flags)),
-            scanprim::split_index(FlagsView(flags)));
-  EXPECT_EQ(fused::split(ex, std::span<const long>(in), FlagsView(flags)),
-            scanprim::split(std::span<const long>(in), FlagsView(flags)));
   EXPECT_EQ(fused::pack(ex, std::span<const long>(in), FlagsView(flags)),
             scanprim::pack(std::span<const long>(in), FlagsView(flags)));
 }

@@ -150,6 +150,49 @@ TEST(Split, StableAndPartitioned) {
   EXPECT_EQ(out, expect);
 }
 
+// The blocked split kernel against a sequential stable partition, across
+// the serial cutoff, sizes that do not divide among the workers, and flag
+// patterns that leave blocks all-zero, all-one or mixed.
+std::vector<Flags> split_flag_patterns(std::size_t n) {
+  Flags zeros(n, 0), ones(n, 1), alternating(n), run(n, 0), random(n);
+  for (std::size_t i = 0; i < n; ++i) alternating[i] = i % 2;
+  for (std::size_t i = n / 3; i < n - n / 3; ++i) run[i] = 1;
+  auto g = testutil::rng(48 + n);
+  for (auto& f : random) f = g() % 2 ? 7 : 0;  // any nonzero byte is a 1
+  return {zeros, ones, alternating, run, random};
+}
+
+TEST(Split, MatchesSequentialStablePartition) {
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{4095},
+        std::size_t{4096}, std::size_t{4097}, std::size_t{4099},
+        std::size_t{10007}, std::size_t{65543},
+        (std::size_t{1} << 18) + 3}) {
+    const auto in = testutil::random_vector<long>(n, 49 + n, 1u << 30);
+    for (const Flags& f : split_flag_patterns(n)) {
+      std::vector<long> expect;
+      std::vector<std::size_t> expect_index(n);
+      for (const bool side : {false, true}) {
+        for (std::size_t i = 0; i < n; ++i) {
+          if ((f[i] != 0) != side) continue;
+          expect_index[i] = expect.size();
+          expect.push_back(in[i]);
+        }
+      }
+      ASSERT_EQ(split(std::span<const long>(in), FlagsView(f)), expect)
+          << "n=" << n;
+      const auto index = split_index(FlagsView(f));
+      ASSERT_EQ(index, expect_index) << "n=" << n;
+      std::vector<bool> hit(n, false);
+      for (const std::size_t d : index) {
+        ASSERT_LT(d, n);
+        ASSERT_FALSE(hit[d]) << "index is not a permutation, n=" << n;
+        hit[d] = true;
+      }
+    }
+  }
+}
+
 TEST(Pack, KeepsExactlyTheFlaggedElementsInOrder) {
   const std::size_t n = 30000;
   const auto in = testutil::random_vector<long>(n, 46);

@@ -72,6 +72,80 @@ TEST(RadixSort, OriginIsAValidPermutationOfTheInput) {
   }
 }
 
+TEST(RadixSort, WithOriginAboveTheCutoffGathersToTheKeysStably) {
+  machine::Machine m;
+  const std::size_t n = (std::size_t{1} << 17) + 5;
+  const auto keys = testutil::random_vector<std::uint64_t>(n, 130, 1u << 12);
+  const SortWithOrigin r = split_radix_sort_with_origin(
+      m, std::span<const std::uint64_t>(keys), 12);
+  auto expect = keys;
+  std::sort(expect.begin(), expect.end());
+  ASSERT_EQ(r.keys, expect);
+  EXPECT_EQ(gathered(std::span<const std::uint64_t>(keys),
+                     std::span<const std::size_t>(r.origin)),
+            r.keys);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    if (r.keys[i] == r.keys[i + 1]) {
+      ASSERT_LT(r.origin[i], r.origin[i + 1]) << "stability violated at " << i;
+    }
+  }
+}
+
+// The cost model is the paper's, not the kernel's: every StepStats field
+// Machine::split and the radix sorts charge is pinned to the values of the
+// scan-composition formulation (flag inversion, enumerate, back-enumerate,
+// select, permute) they replaced.
+struct PinnedStats {
+  std::uint64_t steps, elementwise, permutes, scans;
+  double bit_cycles;
+};
+
+void expect_stats(const machine::Machine& m, const PinnedStats& p,
+                  const char* what) {
+  const machine::StepStats& s = m.stats();
+  EXPECT_EQ(s.steps, p.steps) << what;
+  EXPECT_EQ(s.elementwise, p.elementwise) << what;
+  EXPECT_EQ(s.permutes, p.permutes) << what;
+  EXPECT_EQ(s.scans, p.scans) << what;
+  EXPECT_EQ(s.broadcasts, 0u) << what;
+  EXPECT_EQ(s.combines, 0u) << what;
+  EXPECT_EQ(s.bit_cycles, p.bit_cycles) << what;
+}
+
+TEST(RadixSort, CostModelIsPinned) {
+  const std::size_t n = 10000;
+  const auto keys = testutil::random_vector<std::uint64_t>(n, 131, 1u << 16);
+  Flags f(n);
+  for (std::size_t i = 0; i < n; ++i) f[i] = keys[i] & 1;
+  const std::span<const std::uint64_t> k(keys);
+  struct Case {
+    machine::Model model;
+    std::size_t procs;
+    PinnedStats split, split_index, sort, sort_origin;
+  };
+  const Case cases[] = {
+      {machine::Model::Scan, 0, {5, 2, 1, 2, 1828}, {4, 2, 0, 2, 424},
+       {96, 48, 16, 32, 30720}, {112, 48, 32, 32, 53184}},
+      {machine::Model::EREW, 64, {795, 2, 1, 2, 110852},
+       {638, 2, 0, 2, 20360}, {15232, 48, 16, 32, 1854976},
+       {17744, 48, 32, 32, 3302848}},
+  };
+  for (const Case& c : cases) {
+    machine::Machine m(c.model, c.procs);
+    m.split(k, FlagsView(f));
+    expect_stats(m, c.split, "split");
+    m.reset_stats();
+    m.split_index(FlagsView(f));
+    expect_stats(m, c.split_index, "split_index");
+    m.reset_stats();
+    split_radix_sort(m, k, 16);
+    expect_stats(m, c.sort, "split_radix_sort");
+    m.reset_stats();
+    split_radix_sort_with_origin(m, k, 16);
+    expect_stats(m, c.sort_origin, "split_radix_sort_with_origin");
+  }
+}
+
 TEST(RadixSort, SortsDoublesIncludingNegatives) {
   machine::Machine m;
   auto keys = testutil::random_doubles(8000, 125, -1e6, 1e6);
