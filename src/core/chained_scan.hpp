@@ -29,6 +29,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <thread>
 
 #include "src/fault/fault.hpp"
@@ -266,8 +267,10 @@ void chained_scan_run(std::size_t n, std::size_t tile, bool backward,
       }
     }
   };
+  // Handed over by reference: the closure is far larger than std::function's
+  // inline buffer, so passing it by value would heap-allocate a copy per run.
   if (scratch == nullptr) {
-    thread::pool().run(body);
+    thread::pool().run(std::ref(body));
     return;
   }
   // With a caller-owned scratch, repair it before letting the error out of
@@ -276,7 +279,7 @@ void chained_scan_run(std::size_t n, std::size_t tile, bool backward,
   // gets its scratch back clean (reusable immediately, not only after the
   // next prepare()).
   try {
-    thread::pool().run(body);
+    thread::pool().run(std::ref(body));
   } catch (...) {
     scratch->reset();
     throw;

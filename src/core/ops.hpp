@@ -108,6 +108,15 @@ struct And {
   constexpr T operator()(T a, T b) const { return static_cast<T>(a & b); }
 };
 
+/// Bitwise and over whole words, identity all ones. And<T> above is the
+/// boolean and over 0/1 flags, whose identity 1 would clear every other bit.
+template <class T>
+struct BitAnd {
+  using value_type = T;
+  static constexpr T identity() { return static_cast<T>(~T{0}); }
+  constexpr T operator()(T a, T b) const { return static_cast<T>(a & b); }
+};
+
 /// Multiplication — not primitive in the paper, but used by the appendix's
 /// polynomial-evaluation example (Stone's `×-scan`).
 template <class T>

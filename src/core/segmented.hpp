@@ -14,6 +14,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <vector>
@@ -275,10 +276,13 @@ std::vector<T> seg_min_scan(std::span<const T> in, FlagsView flags) {
 }
 
 // --- batched multi-operator segmented scan (src/serve's mega-vector) ---------
-// The serving front-end (docs/SERVE.md) concatenates many independent small
-// scan requests into one vector and runs them as ONE chained-engine dispatch.
-// Requests may differ in operator and in inclusive/exclusive flavour, so the
-// per-element segment metadata carries all three: a meta byte per element
+// Many independent small scan requests are one segmented scan (§2.3), run as
+// ONE chained-engine dispatch: seg_scan_batch over requests concatenated into
+// one vector, and seg_scan_jobs (the serve batcher's path, docs/SERVE.md)
+// over the requests' own buffers, both directions in one run, with an
+// optional recovery snapshot taken tile by tile. Requests may differ in
+// operator and in inclusive/exclusive flavour, so the per-element segment
+// metadata of seg_scan_batch carries all three: a meta byte per element
 // holds the segment-start flag, the operator tag, and the inclusive bit.
 // Within a segment the operator is uniform (a segment never spans requests),
 // so the lookback combine is always applied between carries of the same
@@ -492,135 +496,95 @@ inline void seg_scan_batch(std::span<Value> data,
 // slices back. seg_scan_jobs instead runs the same protocol over the LOGICAL
 // concatenation of per-job buffers — an iovec-style segmented scan. Because
 // operator and flavour are uniform within a job, the per-element meta byte
-// disappears and the inner loops specialise per operator (one switch per
-// piece instead of per element).
+// disappears and each piece runs the SIMD tile kernels of core/simd/ under
+// the job's own operator.
+//
+// The logical order is always forward, in list order. A backward job is laid
+// into it reversed: its logical element k is element n-1-k of its buffer. A
+// job is an independent segment, so where it sits in the logical sequence
+// does not matter, and one chained run serves any mix of directions.
 
 /// One request in a job-list scan: `n` values scanned in place under `op`,
 /// with optional per-element segment flags (`flags == nullptr` means the job
 /// is a single segment). Every job implicitly starts a segment, so no carry
-/// ever crosses a job boundary.
+/// ever crosses a job boundary. A backward job scans from element n-1 toward
+/// element 0; a flag then marks where a segment starts going forward, exactly
+/// as in the seg_backward_* scans.
 struct JobSlice {
   Value* data = nullptr;
   const std::uint8_t* flags = nullptr;
   std::size_t n = 0;
   Op op = Op::kPlus;
   bool inclusive = false;
+  bool backward = false;
 };
 
-/// Calls `fn` with the operator's combine functor, letting kernels
-/// specialise per operator once per piece instead of switching per element.
+/// Calls `fn` with the core operator (core/ops.hpp) for `op`, so each piece
+/// runs the vector kernels specialised for it. kAnd is bitwise with identity
+/// ~0, hence BitAnd rather than the boolean And.
 template <class Fn>
 inline decltype(auto) with_op(Op op, Fn&& fn) {
   switch (op) {
     case Op::kPlus:
-      return fn([](Value a, Value b) { return wrapping_add(a, b); });
+      return fn(Plus<Value>{});
     case Op::kMax:
-      return fn([](Value a, Value b) { return a > b ? a : b; });
+      return fn(Max<Value>{});
     case Op::kMin:
-      return fn([](Value a, Value b) { return a < b ? a : b; });
+      return fn(Min<Value>{});
     case Op::kOr:
-      return fn([](Value a, Value b) { return a | b; });
+      return fn(Or<Value>{});
     case Op::kAnd:
-      return fn([](Value a, Value b) { return a & b; });
+      return fn(BitAnd<Value>{});
   }
-  return fn([](Value a, Value b) { return wrapping_add(a, b); });
+  return fn(Plus<Value>{});
 }
 
-// Piece kernels: job-local range [a, b), carry in/out, semantics identical
-// to the meta-byte kernels above with the operator and flavour hoisted out
-// of the loop. Element 0 of a job is always an implicit segment start.
+// Piece kernels over the job-local buffer range [a, b), carry in and out,
+// with the semantics of the meta-byte kernels above. A forward job's element
+// 0 starts a segment; a backward job's segment starts at element n-1 (its
+// first in scan order), and nothing crosses past its element 0, so both
+// reset the carry whatever flows in from the job before it.
 
-template <class OpFn>
-inline BatchCarry job_forward_scan(const JobSlice& j, std::size_t a,
-                                   std::size_t b, BatchCarry c, OpFn op) {
-  if (b <= a) return c;
-  const Value id = op_identity(j.op);
-  Value* const d = j.data;
-  const std::uint8_t* const f = j.flags;
-  if (c.op == kNoCarryOp) c.v = id;
-  c.op = static_cast<std::uint8_t>(j.op);
-  if (j.inclusive) {
-    for (std::size_t i = a; i < b; ++i) {
-      if (i == 0 || (f != nullptr && f[i] != 0)) c.v = id;
-      c.v = op(c.v, d[i]);
-      d[i] = c.v;
-    }
-  } else {
-    for (std::size_t i = a; i < b; ++i) {
-      if (i == 0 || (f != nullptr && f[i] != 0)) c.v = id;
-      const Value next = op(c.v, d[i]);
-      d[i] = c.v;
-      c.v = next;
-    }
+template <class OpT>
+inline BatchCarry job_scan(const JobSlice& j, bool backward, std::size_t a,
+                           std::size_t b, BatchCarry c) {
+  Value* const d = j.data + a;
+  const std::uint8_t* const f = j.flags == nullptr ? nullptr : j.flags + a;
+  const std::size_t n = b - a;
+  const auto op = static_cast<std::uint8_t>(j.op);
+  const bool starts = backward ? b == j.n : a == 0;
+  Value v = starts || c.op == kNoCarryOp ? OpT::identity() : c.v;
+  if (!backward) {
+    v = j.inclusive ? simd::scan_fwd<Value, OpT, true>(d, f, d, n, v)
+                    : simd::scan_fwd<Value, OpT, false>(d, f, d, n, v);
+    return {v, op};
   }
-  return c;
+  v = j.inclusive ? simd::scan_bwd<Value, OpT, true>(d, f, d, n, v)
+                  : simd::scan_bwd<Value, OpT, false>(d, f, d, n, v);
+  if (a == 0) return BatchCarry{};
+  return {v, op};
 }
 
-template <class OpFn>
-inline BatchCarry job_backward_scan(const JobSlice& j, std::size_t a,
-                                    std::size_t b, BatchCarry c, OpFn op) {
-  if (b <= a) return c;
-  const Value id = op_identity(j.op);
-  Value* const d = j.data;
-  const std::uint8_t* const f = j.flags;
-  if (c.op == kNoCarryOp) c.v = id;
-  for (std::size_t i = b; i-- > a;) {
-    c.op = static_cast<std::uint8_t>(j.op);
-    if (j.inclusive) {
-      c.v = op(c.v, d[i]);
-      d[i] = c.v;
-    } else {
-      const Value next = op(c.v, d[i]);
-      d[i] = c.v;
-      c.v = next;
-    }
-    if (i == 0 || (f != nullptr && f[i] != 0)) {  // i starts a segment
-      c.v = id;
-      c.op = kNoCarryOp;
-    }
+/// The summarise step's half of job_scan: the carry out without writing,
+/// setting `*saw` when the piece resets the carry (its outflow is then
+/// independent of its carry-in).
+template <class OpT>
+inline BatchCarry job_summary(const JobSlice& j, bool backward, std::size_t a,
+                              std::size_t b, BatchCarry c, bool* saw) {
+  const Value* const d = j.data + a;
+  const std::uint8_t* const f = j.flags == nullptr ? nullptr : j.flags + a;
+  const std::size_t n = b - a;
+  const auto op = static_cast<std::uint8_t>(j.op);
+  const bool starts = backward ? b == j.n : a == 0;
+  if (starts) *saw = true;
+  Value v = starts || c.op == kNoCarryOp ? OpT::identity() : c.v;
+  if (!backward) return {simd::reduce_fwd<Value, OpT>(d, f, n, v, saw), op};
+  v = simd::reduce_bwd<Value, OpT>(d, f, n, v, saw);
+  if (a == 0) {
+    *saw = true;
+    return BatchCarry{};
   }
-  return c;
-}
-
-template <class OpFn>
-inline BatchCarry job_forward_summary(const JobSlice& j, std::size_t a,
-                                      std::size_t b, BatchCarry c, bool* saw,
-                                      OpFn op) {
-  if (b <= a) return c;
-  const Value id = op_identity(j.op);
-  const Value* const d = j.data;
-  const std::uint8_t* const f = j.flags;
-  if (c.op == kNoCarryOp) c.v = id;
-  c.op = static_cast<std::uint8_t>(j.op);
-  for (std::size_t i = a; i < b; ++i) {
-    if (i == 0 || (f != nullptr && f[i] != 0)) {
-      c.v = id;
-      *saw = true;
-    }
-    c.v = op(c.v, d[i]);
-  }
-  return c;
-}
-
-template <class OpFn>
-inline BatchCarry job_backward_summary(const JobSlice& j, std::size_t a,
-                                       std::size_t b, BatchCarry c, bool* saw,
-                                       OpFn op) {
-  if (b <= a) return c;
-  const Value id = op_identity(j.op);
-  const Value* const d = j.data;
-  const std::uint8_t* const f = j.flags;
-  if (c.op == kNoCarryOp) c.v = id;
-  for (std::size_t i = b; i-- > a;) {
-    c.op = static_cast<std::uint8_t>(j.op);
-    c.v = op(c.v, d[i]);
-    if (i == 0 || (f != nullptr && f[i] != 0)) {
-      *saw = true;
-      c.v = id;
-      c.op = kNoCarryOp;
-    }
-  }
-  return c;
+  return {v, op};
 }
 
 /// Execution policy for seg_scan_jobs. kAuto picks the chained dispatch when
@@ -632,52 +596,69 @@ enum class JobsMode : std::uint8_t { kAuto, kForceParallel, kSerial };
 
 namespace jobs_detail {
 
-/// Walk the pieces of `jobs` overlapping global range [gb, ge) in logical
-/// order (forward or reverse), calling `piece(job, a, b)` with job-local
-/// bounds. `offs` holds the exclusive prefix of job lengths plus the total.
+/// Per-thread storage for the chained path, reused call after call so a
+/// steady caller (the serve batcher) allocates nothing per batch: the
+/// exclusive prefix of job lengths, and one snapshot mark per tile.
+struct Work {
+  std::vector<std::size_t> offs;
+  std::vector<std::uint8_t> marks;
+};
+
+inline Work& work() {
+  thread_local Work w;
+  return w;
+}
+
+/// Walk the pieces of `jobs` overlapping logical range [gb, ge) in list
+/// order, calling `piece(job, backward, a, b, base)` with the piece's
+/// job-local buffer range [a, b) and the job's logical start `base`. `offs`
+/// holds the exclusive prefix of job lengths plus the total.
 template <class Piece>
 inline void for_pieces(std::span<const JobSlice> jobs,
                        std::span<const std::size_t> offs, std::size_t gb,
                        std::size_t ge, bool backward, Piece&& piece) {
-  if (backward) {
-    std::size_t g = ge;
-    auto it = std::upper_bound(offs.begin(), offs.end(), g - 1);
-    std::size_t ji = static_cast<std::size_t>(it - offs.begin()) - 1;
-    while (g > gb) {
-      while (offs[ji] >= g) --ji;  // skips zero-length jobs
-      const std::size_t a = (gb > offs[ji] ? gb : offs[ji]) - offs[ji];
-      const std::size_t b = g - offs[ji];
-      piece(jobs[ji], a, b);
-      g = offs[ji] + a;
+  auto it = std::upper_bound(offs.begin(), offs.end(), gb);
+  std::size_t ji = static_cast<std::size_t>(it - offs.begin()) - 1;
+  std::size_t g = gb;
+  while (g < ge) {
+    while (offs[ji + 1] <= g) ++ji;  // skips zero-length jobs
+    const JobSlice& j = jobs[ji];
+    const std::size_t la = g - offs[ji];
+    const std::size_t lb = std::min(j.n, ge - offs[ji]);
+    if (backward || j.backward) {
+      piece(j, true, j.n - lb, j.n - la, offs[ji]);
+    } else {
+      piece(j, false, la, lb, offs[ji]);
     }
-  } else {
-    auto it = std::upper_bound(offs.begin(), offs.end(), gb);
-    std::size_t ji = static_cast<std::size_t>(it - offs.begin()) - 1;
-    std::size_t g = gb;
-    while (g < ge) {
-      while (offs[ji + 1] <= g) ++ji;  // skips zero-length jobs
-      const std::size_t a = g - offs[ji];
-      const std::size_t cap = ge - offs[ji];
-      const std::size_t b = jobs[ji].n < cap ? jobs[ji].n : cap;
-      piece(jobs[ji], a, b);
-      g = offs[ji] + b;
-    }
+    g = offs[ji] + lb;
   }
 }
 
 }  // namespace jobs_detail
 
 /// Scan a batch of independent jobs in place, each in its own buffer, as one
-/// logical segmented mega-scan — one chained-engine dispatch over the
+/// logical segmented mega-scan: one chained-engine dispatch over the
 /// concatenation, or one sequential pass per job under kSerial/kAuto
-/// fallback. All jobs in a call share a direction.
+/// fallback. A job runs backward when `backward || job.backward`.
+///
+/// `snapshot`, when non-empty, holds at least the total job length and is
+/// laid out like the logical concatenation (job i at its prefix offset, in
+/// buffer order). The run then either succeeds or throws with every job's
+/// input restored: the summarise step copies each tile's pieces into the
+/// snapshot before reducing them and marks the tile once the copy is whole,
+/// and a tile is only rescanned (written) after its summarise, so on a throw
+/// exactly the marked tiles are copied back. The serial pass snapshots each
+/// job just before scanning it and restores the jobs it reached.
 inline void seg_scan_jobs(std::span<const JobSlice> jobs, bool backward,
                           detail::ChainedScratch<BatchCarry>* scratch = nullptr,
-                          JobsMode mode = JobsMode::kAuto) {
+                          JobsMode mode = JobsMode::kAuto,
+                          std::span<Value> snapshot = {}) {
   std::size_t total = 0;
   for (const JobSlice& j : jobs) total += j.n;
   if (total == 0) return;
+  assert(snapshot.empty() || snapshot.size() >= total);
   obs::Span jobs_span("batch.jobs");
+  Value* const snap = snapshot.empty() ? nullptr : snapshot.data();
 
   bool serial = thread::num_workers() == 1 || total < thread::kSerialCutoff;
   if (mode == JobsMode::kSerial) serial = true;
@@ -686,57 +667,98 @@ inline void seg_scan_jobs(std::span<const JobSlice> jobs, bool backward,
     serial = false;
   }
   if (serial) {
-    for (const JobSlice& j : jobs) {
-      obs::Span job_span("batch.serial_job");
-      SCANPRIM_FAULT_POINT("batch.serial_job");
-      with_op(j.op, [&](auto op) {
-        if (backward) {
-          job_backward_scan(j, 0, j.n, BatchCarry{}, op);
-        } else {
-          job_forward_scan(j, 0, j.n, BatchCarry{}, op);
+    std::size_t copied = 0;  // logical prefix whose snapshot is complete
+    try {
+      for (const JobSlice& j : jobs) {
+        obs::Span job_span("batch.serial_job");
+        SCANPRIM_FAULT_POINT("batch.serial_job");
+        if (j.n == 0) continue;
+        if (snap != nullptr) {
+          std::memcpy(snap + copied, j.data, j.n * sizeof(Value));
         }
-      });
+        copied += j.n;
+        with_op(j.op, [&](auto op) {
+          job_scan<decltype(op)>(j, backward || j.backward, 0, j.n,
+                                 BatchCarry{});
+        });
+      }
+    } catch (...) {
+      if (snap != nullptr) {
+        std::size_t at = 0;
+        for (const JobSlice& j : jobs) {
+          if (at >= copied) break;
+          if (j.n != 0) std::memcpy(j.data, snap + at, j.n * sizeof(Value));
+          at += j.n;
+        }
+      }
+      throw;
     }
     return;
   }
 
-  std::vector<std::size_t> offs(jobs.size() + 1, 0);
-  for (std::size_t i = 0; i < jobs.size(); ++i) offs[i + 1] = offs[i] + jobs[i].n;
-  const std::span<const std::size_t> ov(offs);
+  constexpr std::size_t tile = detail::kChainedTileElements;
+  jobs_detail::Work& w = jobs_detail::work();
+  w.offs.resize(jobs.size() + 1);
+  w.offs[0] = 0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    w.offs[i + 1] = w.offs[i] + jobs[i].n;
+  }
+  const std::span<const std::size_t> ov(w.offs);
+  if (snap != nullptr) w.marks.assign((total + tile - 1) / tile, 0);
+  std::uint8_t* const marks = w.marks.data();
 
-  detail::chained_scan_run<BatchCarry>(
-      total, detail::kChainedTileElements, backward, BatchCarry{},
-      batch_combine,
-      [jobs, ov, backward](std::size_t, std::size_t b, std::size_t c,
-                           BatchCarry* agg) {
-        BatchCarry acc;
-        bool saw = false;
-        jobs_detail::for_pieces(
-            jobs, ov, b, b + c, backward,
-            [&](const JobSlice& j, std::size_t a, std::size_t e) {
-              SCANPRIM_FAULT_POINT("batch.piece");
-              with_op(j.op, [&](auto op) {
-                acc = backward
-                          ? job_backward_summary(j, a, e, acc, &saw, op)
-                          : job_forward_summary(j, a, e, acc, &saw, op);
+  try {
+    detail::chained_scan_run<BatchCarry>(
+        total, tile, /*backward=*/false, BatchCarry{}, batch_combine,
+        [jobs, ov, backward, snap, marks](std::size_t, std::size_t b,
+                                          std::size_t c, BatchCarry* agg) {
+          BatchCarry acc;
+          bool saw = false;
+          jobs_detail::for_pieces(
+              jobs, ov, b, b + c, backward,
+              [&](const JobSlice& j, bool bwd, std::size_t pa, std::size_t pb,
+                  std::size_t base) {
+                SCANPRIM_FAULT_POINT("batch.piece");
+                if (snap != nullptr) {
+                  std::memcpy(snap + base + pa, j.data + pa,
+                              (pb - pa) * sizeof(Value));
+                }
+                with_op(j.op, [&](auto op) {
+                  acc = job_summary<decltype(op)>(j, bwd, pa, pb, acc, &saw);
+                });
               });
-            });
-        *agg = acc;
-        return saw;
-      },
-      [jobs, ov, backward](std::size_t, std::size_t b, std::size_t c,
-                           BatchCarry carry) {
-        jobs_detail::for_pieces(
-            jobs, ov, b, b + c, backward,
-            [&](const JobSlice& j, std::size_t a, std::size_t e) {
-              SCANPRIM_FAULT_POINT("batch.piece");
-              with_op(j.op, [&](auto op) {
-                carry = backward ? job_backward_scan(j, a, e, carry, op)
-                                 : job_forward_scan(j, a, e, carry, op);
+          if (snap != nullptr) marks[b / tile] = 1;
+          *agg = acc;
+          return saw;
+        },
+        [jobs, ov, backward](std::size_t, std::size_t b, std::size_t c,
+                             BatchCarry carry) {
+          jobs_detail::for_pieces(
+              jobs, ov, b, b + c, backward,
+              [&](const JobSlice& j, bool bwd, std::size_t pa, std::size_t pb,
+                  std::size_t) {
+                SCANPRIM_FAULT_POINT("batch.piece");
+                with_op(j.op, [&](auto op) {
+                  carry = job_scan<decltype(op)>(j, bwd, pa, pb, carry);
+                });
               });
+        },
+        scratch);
+  } catch (...) {
+    if (snap != nullptr) {
+      for (std::size_t t = 0; t < w.marks.size(); ++t) {
+        if (marks[t] == 0) continue;
+        jobs_detail::for_pieces(
+            jobs, ov, t * tile, std::min(total, (t + 1) * tile), backward,
+            [&](const JobSlice& j, bool, std::size_t pa, std::size_t pb,
+                std::size_t base) {
+              std::memcpy(j.data + pa, snap + base + pa,
+                          (pb - pa) * sizeof(Value));
             });
-      },
-      scratch);
+      }
+    }
+    throw;
+  }
 }
 
 }  // namespace batch

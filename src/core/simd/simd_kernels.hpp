@@ -113,6 +113,9 @@ struct OpTraits<And<T>> {
   }
 };
 
+template <class T>
+struct OpTraits<BitAnd<T>> : OpTraits<And<T>> {};
+
 namespace kernels {
 // SFINAE-guarded so arbitrary callables (lambda combiners, seg_copy's
 // "latest valid value" functor) without a `value_type` are simply

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
 #include <utility>
 
@@ -68,10 +67,9 @@ struct Service::JobNode {
   Clock::time_point submitted_at{};
   Clock::time_point deadline = Clock::time_point::max();
 
-  std::size_t offset = 0;  ///< slice start in the batch mega-vector
-  std::size_t backup_offset = 0;  ///< kScan: slice start in the backup copy
-  bool failed = false;            ///< execution threw; resolve kError
-  std::string error;              ///< what() of the exception that failed it
+  std::size_t offset = 0;  ///< kPack/kEnumerate: slice start in stage_
+  bool failed = false;     ///< execution threw; resolve kError
+  std::string error;       ///< what() of the exception that failed it
 
   /// Payload bytes this job contributes to a batch (budget accounting).
   std::size_t cost_bytes() const {
@@ -568,68 +566,47 @@ void Service::batcher_loop() {
   }
 }
 
-// Rebuild the derived inputs a (sub-)group's dispatch consumes. Scan jobs
-// run IN PLACE in the submitter's buffer, so a re-attempt after a throwing
-// dispatch must first restore them from the pristine snapshot. Pack and
-// enumerate jobs scan derived 0/1 keep values, which are always re-derivable
-// from their (never-written) flags.
-void Service::stage_group(std::span<JobNode* const> group, bool restore_scans) {
-  for (JobNode* n : group) {
-    switch (n->kind) {
-      case JobKind::kScan:
-        if (restore_scans && opts_.recovery && !n->data.empty()) {
-          std::memcpy(n->data.data(), backup_.data() + n->backup_offset,
-                      n->data.size() * sizeof(Value));
-        }
-        break;
-      case JobKind::kPack:
-      case JobKind::kEnumerate: {
-        // keep flags become 0/1 values under an exclusive +-scan: each
-        // element learns its packed destination (enumerate, Figure 5).
-        const std::size_t len = n->flags.size();
-        Value* d = stage_.data() + n->offset;
-        const std::uint8_t* f = n->flags.data();
-        for (std::size_t i = 0; i < len; ++i) d[i] = f[i] ? 1 : 0;
-        break;
-      }
-      case JobKind::kPipeline:
-      case JobKind::kPlan:
-        break;
-    }
+// Derive the 0/1 keep values pack and enumerate jobs scan: under an
+// exclusive +-scan each element learns its packed destination (enumerate,
+// Figure 5). Scan jobs run in place in the submitter's buffer.
+void Service::stage_group(std::span<JobNode* const> group) {
+  for (const JobNode* n : group) {
+    if (n->kind != JobKind::kPack && n->kind != JobKind::kEnumerate) continue;
+    const std::size_t len = n->flags.size();
+    Value* d = stage_.data() + n->offset;
+    const std::uint8_t* f = n->flags.data();
+    for (std::size_t i = 0; i < len; ++i) d[i] = f[i] ? 1 : 0;
   }
 }
 
-// Register every job in the group as one slice of the logical forward or
-// backward mega-scan. Each slice starts a segment, so no carry crosses a
-// request boundary.
+// Register every job in the group as one slice of the logical mega-scan,
+// each in its own direction. Each slice starts a segment, so no carry
+// crosses a request boundary.
 void Service::build_slices(std::span<JobNode* const> group) {
-  slices_fwd_.clear();
-  slices_bwd_.clear();
+  slices_.clear();
   for (JobNode* n : group) {
-    switch (n->kind) {
-      case JobKind::kScan: {
-        batch::JobSlice s;
-        s.data = n->data.data();
-        s.flags = n->flags.empty() ? nullptr : n->flags.data();
-        s.n = n->data.size();
-        s.op = n->op;
-        s.inclusive = n->inclusive;
-        (n->backward ? slices_bwd_ : slices_fwd_).push_back(s);
-        break;
-      }
-      case JobKind::kPack:
-      case JobKind::kEnumerate: {
-        batch::JobSlice s;  // defaults: kPlus, exclusive, single segment
-        s.data = stage_.data() + n->offset;
-        s.n = n->flags.size();
-        slices_fwd_.push_back(s);
-        break;
-      }
-      case JobKind::kPipeline:
-      case JobKind::kPlan:
-        break;
+    batch::JobSlice s;  // defaults: kPlus, exclusive, forward, one segment
+    if (n->kind == JobKind::kScan) {
+      s.data = n->data.data();
+      s.flags = n->flags.empty() ? nullptr : n->flags.data();
+      s.n = n->data.size();
+      s.op = n->op;
+      s.inclusive = n->inclusive;
+      s.backward = n->backward;
+    } else {
+      s.data = stage_.data() + n->offset;
+      s.n = n->flags.size();
     }
+    slices_.push_back(s);
   }
+}
+
+// The recovery snapshot execute_batch sized for this batch, or none when
+// recovery is off. With it, a throwing seg_scan_jobs hands every input back
+// as it found it, so a failed group can be re-dispatched as it stands.
+std::span<Value> Service::snapshot() {
+  return opts_.recovery ? std::span<Value>(backup_.data(), backup_.size())
+                        : std::span<Value>();
 }
 
 bool Service::try_dispatch(std::span<JobNode* const> group,
@@ -638,8 +615,8 @@ bool Service::try_dispatch(std::span<JobNode* const> group,
   build_slices(group);
   try {
     SCANPRIM_FAULT_POINT("serve.dispatch");
-    batch::seg_scan_jobs(slices_fwd_, false, &scratch_fwd_, opts_.parallel);
-    batch::seg_scan_jobs(slices_bwd_, true, &scratch_bwd_, opts_.parallel);
+    batch::seg_scan_jobs(slices_, false, &scratch_, opts_.parallel,
+                         snapshot());
     return true;
   } catch (const std::exception& e) {
     *error = e.what();
@@ -649,25 +626,23 @@ bool Service::try_dispatch(std::span<JobNode* const> group,
   return false;
 }
 
-// Bisection recovery for a group whose dispatch threw: restore each half
-// from the snapshot, re-dispatch it, and recurse into any half that throws
-// again. Terminates at single jobs, which re-run serially with no shared
-// scratch and — deliberately — without passing the "serve.dispatch" fault
-// point, so even a permanently-armed dispatch fault lets every innocent job
-// complete; only a job whose own execution throws resolves kError.
+// Bisection recovery for a group whose dispatch threw (and so left its
+// inputs untouched): re-dispatch each half and recurse into any half that
+// throws again. Terminates at single jobs, which re-run serially with no
+// shared scratch and — deliberately — without passing the "serve.dispatch"
+// fault point, so even a permanently-armed dispatch fault lets every
+// innocent job complete; only a job whose own execution throws resolves
+// kError.
 void Service::recover_group(std::span<JobNode* const> group) {
   if (group.empty()) return;
   obs::Span span("serve.recover");
   if (group.size() == 1) {
     JobNode* n = group.front();
-    stage_group(group, /*restore_scans=*/true);
     build_slices(group);
     bisection_reruns_.fetch_add(1, std::memory_order_relaxed);
     try {
-      batch::seg_scan_jobs(slices_fwd_, false, nullptr,
-                           batch::JobsMode::kSerial);
-      batch::seg_scan_jobs(slices_bwd_, true, nullptr,
-                           batch::JobsMode::kSerial);
+      batch::seg_scan_jobs(slices_, false, nullptr, batch::JobsMode::kSerial,
+                           snapshot());
     } catch (const std::exception& e) {
       n->failed = true;
       n->error = e.what();
@@ -681,7 +656,6 @@ void Service::recover_group(std::span<JobNode* const> group) {
   const std::span<JobNode* const> halves[2] = {group.first(mid),
                                                group.subspan(mid)};
   for (const auto& half : halves) {
-    stage_group(half, /*restore_scans=*/true);
     bisection_reruns_.fetch_add(1, std::memory_order_relaxed);
     std::string err;
     if (!try_dispatch(half, &err)) recover_group(half);
@@ -692,14 +666,12 @@ void Service::execute_batch(std::vector<JobNode*>& jobs) {
   obs::Span batch_span("serve.batch");
   SCANPRIM_FAULT_POINT("serve.batch");
 
-  // Partition the batch and lay out the shared staging / snapshot buffers.
+  // Partition the batch and lay out the shared staging buffer.
   scan_jobs_.clear();
-  std::size_t stage_n = 0, backup_n = 0, elements = 0;
+  std::size_t stage_n = 0, elements = 0;
   for (JobNode* n : jobs) {
     switch (n->kind) {
       case JobKind::kScan:
-        n->backup_offset = backup_n;
-        backup_n += n->data.size();
         elements += n->data.size();
         scan_jobs_.push_back(n);
         break;
@@ -716,25 +688,18 @@ void Service::execute_batch(std::vector<JobNode*>& jobs) {
     }
   }
   stage_.resize(stage_n);
+  // The snapshot is taken inside the dispatch, tile by tile; only its
+  // storage is sized here, where an allocation failure fails the batch at
+  // the loop boundary before any job has been touched. It only grows, so a
+  // steady stream of batches neither reallocates nor zero-fills it.
+  if (opts_.recovery && backup_.size() < elements) backup_.resize(elements);
+  stage_group(scan_jobs_);
 
-  // Snapshot scan payloads before the dispatch can touch them: scan jobs run
-  // IN PLACE, so a throwing mega-dispatch leaves them partially overwritten
-  // and bisection re-runs need the pristine input back.
-  if (opts_.recovery) {
-    backup_.resize(backup_n);
-    for (const JobNode* n : scan_jobs_) {
-      if (n->kind == JobKind::kScan && !n->data.empty()) {
-        std::memcpy(backup_.data() + n->backup_offset, n->data.data(),
-                    n->data.size() * sizeof(Value));
-      }
-    }
-  }
-  stage_group(scan_jobs_, /*restore_scans=*/false);
-
-  // One chained-engine dispatch per direction present (or the adaptive
-  // sequential pass, per opts_.parallel), plus the pipeline jobs through
-  // the (arena-reusing) executor. The pool dispatch delta over this region
-  // is the batch's whole dispatch bill.
+  // One chained-engine dispatch over every scan, pack and enumerate job,
+  // whatever its direction (or the adaptive sequential pass, per
+  // opts_.parallel), plus the pipeline jobs through the (arena-reusing)
+  // executor. The pool dispatch delta over this region is the batch's whole
+  // dispatch bill.
   const std::uint64_t d0 = thread::pool().dispatch_count();
   std::string error;
   if (!try_dispatch(scan_jobs_, &error)) {

@@ -7,10 +7,11 @@
 // scans ARE one segmented scan (§2.3). So the service coalesces every
 // request admitted within a batching window into one logical segmented
 // mega-scan over the requests' own buffers (an iovec-style job list,
-// batch::seg_scan_jobs) — each request one or more segments — executed as a
-// single chained-engine dispatch (or an adaptive sequential pass when the
-// pool would time-share cores), with results moved, not copied, back to the
-// callers' futures.
+// batch::seg_scan_jobs) — each request one or more segments, forward and
+// backward requests alike — executed as a single chained-engine dispatch
+// per batch (or an adaptive sequential pass when the pool would time-share
+// cores), with results moved, not copied, back to the callers' futures. The
+// recovery snapshot is taken inside that dispatch, tile by tile.
 //
 // Concurrency shape:
 //   submitters --> lock-free MPSC intrusive stack --> batcher thread
@@ -70,14 +71,16 @@ class Service {
     /// single-worker or oversubscribed pool); the forced modes pin it.
     batch::JobsMode parallel = batch::JobsMode::kAuto;
 
-    /// Fault isolation (docs/FAULTS.md). When true the batcher snapshots
-    /// each scan job's payload before the mega-dispatch; if the dispatch
-    /// throws, the batch is recovered by bisection — restore the halves from
-    /// the snapshot and re-run them, terminating in per-job serial execution
-    /// — so only the genuinely faulty job(s) resolve Status::kError while
-    /// their batch-mates still succeed. Costs one extra copy of the scan
-    /// payload per batch. When false the snapshot (and recovery) is skipped
-    /// and a throwing mega-dispatch fails the whole batch with kError.
+    /// Fault isolation (docs/FAULTS.md). When true the mega-dispatch
+    /// snapshots each tile of the batch as it summarises it, and a throwing
+    /// dispatch copies the snapshotted tiles back before it rethrows, so
+    /// every input is as submitted. The batch is then recovered by
+    /// bisection — re-run the halves, terminating in per-job serial
+    /// execution — so only the genuinely faulty job(s) resolve
+    /// Status::kError while their batch-mates still succeed. Costs one copy
+    /// of the batch payload per batch, made while each tile is in cache.
+    /// When false the snapshot (and recovery) is skipped and a throwing
+    /// mega-dispatch fails the whole batch with kError.
     bool recovery = true;
 
     /// Reads SCANPRIM_SERVE_QUEUE_CAP / SCANPRIM_SERVE_WINDOW_US /
@@ -151,8 +154,9 @@ class Service {
   void record_latency(std::uint64_t ns, Lane lane);
 
   // Batch execution + bisection recovery (batcher thread only).
-  void stage_group(std::span<JobNode* const> group, bool restore_scans);
+  void stage_group(std::span<JobNode* const> group);
   void build_slices(std::span<JobNode* const> group);
+  std::span<Value> snapshot();
   bool try_dispatch(std::span<JobNode* const> group, std::string* error);
   void recover_group(std::span<JobNode* const> group);
 
@@ -173,17 +177,15 @@ class Service {
   bool urgent_ = false;  ///< guarded by wake_mutex_: cut the window short
   std::thread batcher_;
   exec::Executor executor_;  ///< runs pipeline jobs (arena reuse across them)
-  detail::ChainedScratch<batch::BatchCarry> scratch_fwd_;
-  detail::ChainedScratch<batch::BatchCarry> scratch_bwd_;
+  detail::ChainedScratch<batch::BatchCarry> scratch_;
   // Staging and snapshot storage comes from the batcher thread's
   // size-classed arena (src/mem, docs/MEM.md): per-batch growth recycles
   // the free lists the executor and scratch share on that thread, and the
   // arena's trim policy bounds what an occasional giant batch leaves behind.
   mem::Vector<Value> stage_;   ///< reused 0/1 staging for pack/enumerate jobs
-  mem::Vector<Value> backup_;  ///< reused pristine scan payloads (recovery)
+  mem::Vector<Value> backup_;  ///< reused recovery snapshot (seg_scan_jobs)
   std::vector<JobNode*> scan_jobs_;  ///< reused: the batch's non-pipeline jobs
-  std::vector<batch::JobSlice> slices_fwd_;  ///< reused per-batch job lists
-  std::vector<batch::JobSlice> slices_bwd_;
+  std::vector<batch::JobSlice> slices_;  ///< reused per-batch job list
   std::uint64_t batch_seq_ = 0;  ///< batcher-only
   std::mutex shutdown_mutex_;            ///< makes shutdown() re-entrant
 

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 
 #include "src/core/primitives.hpp"
+#include "src/fault/fault.hpp"
+#include "src/thread/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace scanprim {
@@ -215,9 +218,11 @@ struct OwnedJob {
   std::vector<std::uint8_t> flags;  // empty = the job is one segment
   batch::Op op = batch::Op::kPlus;
   bool inclusive = false;
+  bool backward = false;
 };
 
 std::vector<batch::Value> job_reference(const OwnedJob& j, bool backward) {
+  backward = backward || j.backward;
   const std::size_t n = j.data.size();
   std::vector<batch::Value> out(n);
   batch::Value acc = batch::op_identity(j.op);
@@ -260,19 +265,31 @@ OwnedJob random_owned_job(std::mt19937_64& g, std::size_t n) {
   return j;
 }
 
-void expect_jobs_match(const std::vector<OwnedJob>& jobs, bool backward,
-                       batch::JobsMode mode) {
-  std::vector<OwnedJob> work = jobs;
+std::vector<batch::JobSlice> slices_of(std::vector<OwnedJob>& jobs) {
   std::vector<batch::JobSlice> slices;
-  for (OwnedJob& j : work) {
+  for (OwnedJob& j : jobs) {
     batch::JobSlice s;
     s.data = j.data.data();
     s.flags = j.flags.empty() ? nullptr : j.flags.data();
     s.n = j.data.size();
     s.op = j.op;
     s.inclusive = j.inclusive;
+    s.backward = j.backward;
     slices.push_back(s);
   }
+  return slices;
+}
+
+std::size_t total_length(const std::vector<OwnedJob>& jobs) {
+  std::size_t n = 0;
+  for (const OwnedJob& j : jobs) n += j.data.size();
+  return n;
+}
+
+void expect_jobs_match(const std::vector<OwnedJob>& jobs, bool backward,
+                       batch::JobsMode mode) {
+  std::vector<OwnedJob> work = jobs;
+  const std::vector<batch::JobSlice> slices = slices_of(work);
   batch::seg_scan_jobs(slices, backward, nullptr, mode);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     ASSERT_EQ(work[i].data, job_reference(jobs[i], backward))
@@ -336,6 +353,196 @@ TEST(SegScanJobs, OneJobSpansManyTiles) {
   jobs.push_back(big);
   jobs.push_back(random_owned_job(g, 5));
   expect_jobs_match_all_modes(jobs);
+}
+
+// --- full-range values, mixed directions, restore on throw -------------------
+
+class TierGuard {
+ public:
+  explicit TierGuard(simd::Tier tier) : prev_(simd::active_tier()) {
+    simd::set_simd_tier(tier);
+  }
+  ~TierGuard() { simd::set_simd_tier(prev_); }
+
+ private:
+  simd::Tier prev_;
+};
+
+std::vector<simd::Tier> available_tiers() {
+  std::vector<simd::Tier> tiers{simd::Tier::kScalar};
+  const simd::Tier best = simd::best_supported_tier();
+  if (best >= simd::Tier::kAvx2) tiers.push_back(simd::Tier::kAvx2);
+  if (best >= simd::Tier::kAvx512) tiers.push_back(simd::Tier::kAvx512);
+  return tiers;
+}
+
+// Values anywhere in int64: the extremes, -1, 0, single cleared bits (so an
+// and-scan does not collapse to 0 at once) and raw 64-bit draws.
+batch::Value full_range_value(std::mt19937_64& g) {
+  constexpr batch::Value kMin = std::numeric_limits<batch::Value>::min();
+  constexpr batch::Value kMax = std::numeric_limits<batch::Value>::max();
+  switch (g() % 8) {
+    case 0:
+      return kMin;
+    case 1:
+      return kMax;
+    case 2:
+      return -1;
+    case 3:
+      return 0;
+    case 4:
+    case 5:
+      return static_cast<batch::Value>(~(std::uint64_t{1} << (g() % 64)));
+    default:
+      return static_cast<batch::Value>(g());
+  }
+}
+
+TEST(SegScanJobs, FullRangeValuesMatchReferencesOnEveryTier) {
+  // Small values (the other tests draw g() % 100) never meet the Max/Min
+  // identities or the bitwise-and identity ~0 in a sign bit. Every operator
+  // x flavour x direction, flagged and unflagged, at sizes that straddle
+  // register chunks and tiles.
+  std::mt19937_64 g(54);
+  std::vector<OwnedJob> jobs;
+  for (std::size_t op = 0; op < batch::kOpCount; ++op) {
+    for (const bool flagged : {false, true}) {
+      for (const bool inclusive : {false, true}) {
+        for (const bool backward : {false, true}) {
+          OwnedJob j;
+          j.data.resize(1 + g() % 5000);
+          for (auto& v : j.data) v = full_range_value(g);
+          j.op = static_cast<batch::Op>(op);
+          j.inclusive = inclusive;
+          j.backward = backward;
+          if (flagged) {
+            j.flags.assign(j.data.size(), 0);
+            for (auto& f : j.flags) f = g() % 7 == 0 ? 1 : 0;
+          }
+          jobs.push_back(std::move(j));
+        }
+      }
+    }
+  }
+  for (const simd::Tier tier : available_tiers()) {
+    TierGuard guard(tier);
+    SCOPED_TRACE(simd::tier_name(tier));
+    expect_jobs_match_all_modes(jobs);
+  }
+}
+
+// Forward and backward jobs alternating, with sizes that put a forward and
+// a backward neighbour in one tile on either side of it, and zero-length
+// jobs between them.
+std::vector<OwnedJob> mixed_direction_jobs(std::mt19937_64& g) {
+  std::vector<OwnedJob> jobs;
+  bool backward = false;
+  for (const std::size_t n :
+       {std::size_t{3000}, std::size_t{2000}, std::size_t{0},
+        std::size_t{5000}, std::size_t{1}, std::size_t{0}, std::size_t{4095},
+        std::size_t{4097}, std::size_t{9000}, std::size_t{17},
+        std::size_t{0}, std::size_t{8192}, std::size_t{2}}) {
+    OwnedJob j = random_owned_job(g, n);
+    j.backward = backward;
+    backward = !backward;
+    jobs.push_back(std::move(j));
+  }
+  for (int i = 0; i < 24; ++i) {
+    OwnedJob j = random_owned_job(g, g() % 600);
+    j.backward = (g() & 1) != 0;
+    jobs.push_back(std::move(j));
+  }
+  return jobs;
+}
+
+TEST(SegScanJobs, MixedDirectionsMatchReferencesInOneDispatch) {
+  std::mt19937_64 g(55);
+  const std::vector<OwnedJob> jobs = mixed_direction_jobs(g);
+  ASSERT_GT(total_length(jobs), thread::kSerialCutoff);
+  // Per-slice directions, and the call-wide `backward` overriding them all.
+  expect_jobs_match_all_modes(jobs);
+
+  // Both directions go through one chained run: exactly one pool dispatch
+  // wherever the chained path is taken.
+  if (thread::num_workers() == 1) return;
+  std::vector<batch::JobsMode> parallel_modes{batch::JobsMode::kForceParallel};
+  if (!thread::oversubscribed()) {
+    parallel_modes.push_back(batch::JobsMode::kAuto);
+  }
+  for (const batch::JobsMode mode : parallel_modes) {
+    std::vector<OwnedJob> work = jobs;
+    const std::vector<batch::JobSlice> slices = slices_of(work);
+    const std::uint64_t d0 = thread::pool().dispatch_count();
+    batch::seg_scan_jobs(slices, false, nullptr, mode);
+    EXPECT_EQ(thread::pool().dispatch_count() - d0, 1u)
+        << "mode=" << static_cast<int>(mode);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      ASSERT_EQ(work[i].data, job_reference(jobs[i], false)) << "job " << i;
+    }
+  }
+}
+
+TEST(SegScanJobs, ThrowRestoresEveryInputFromTheSnapshot) {
+  // A fault at any hit of any point inside the run must leave every buffer
+  // as it was, and the same scratch must then run clean. The list spans
+  // more than eight tiles, so faults land before, between and after tiles
+  // that other workers have already rescanned.
+  fault::disarm_all();
+  std::mt19937_64 g(56);
+  std::vector<OwnedJob> jobs = mixed_direction_jobs(g);
+  for (int i = 0; i < 4; ++i) {
+    OwnedJob j = random_owned_job(g, 3000);
+    j.backward = i % 2 == 1;
+    jobs.push_back(std::move(j));
+  }
+  const std::size_t total = total_length(jobs);
+  ASSERT_GE(total, 8 * detail::kChainedTileElements);
+  std::vector<batch::Value> snapshot(total);
+  detail::ChainedScratch<batch::BatchCarry> scratch;
+
+  struct Arming {
+    const char* point;
+    batch::JobsMode mode;
+  };
+  const Arming armings[] = {
+      {"batch.piece", batch::JobsMode::kForceParallel},
+      {"chained.summarize", batch::JobsMode::kForceParallel},
+      {"chained.rescan", batch::JobsMode::kForceParallel},
+      {"batch.serial_job", batch::JobsMode::kSerial}};
+  for (const Arming& a : armings) {
+    for (std::uint64_t nth = 1; nth <= 24; ++nth) {
+      SCOPED_TRACE(std::string(a.point) + " nth=" + std::to_string(nth));
+      std::vector<OwnedJob> work = jobs;
+      const std::vector<batch::JobSlice> slices = slices_of(work);
+      // A stale snapshot must never be copied back: only what this run
+      // snapshotted counts.
+      std::fill(snapshot.begin(), snapshot.end(), batch::Value{0x5a5a});
+      fault::arm(a.point, nth);
+      bool threw = false;
+      try {
+        batch::seg_scan_jobs(slices, false, &scratch, a.mode, snapshot);
+      } catch (const fault::Injected&) {
+        threw = true;
+      }
+      fault::disarm_all();
+      const bool reachable = a.mode == batch::JobsMode::kSerial ||
+                             thread::num_workers() > 1;
+      if (reachable && nth <= 8) {
+        EXPECT_TRUE(threw);
+      }
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ASSERT_EQ(work[i].data,
+                  threw ? jobs[i].data : job_reference(jobs[i], false))
+            << "job " << i << (threw ? " not restored" : " wrong");
+      }
+      if (!threw) continue;
+      batch::seg_scan_jobs(slices, false, &scratch, a.mode, snapshot);
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ASSERT_EQ(work[i].data, job_reference(jobs[i], false))
+            << "job " << i << " after the fault";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -204,9 +204,12 @@ TEST(ServeRecovery, TransientDispatchFaultEveryJobStillSucceeds) {
 
 // A fault that fires MID-scan, after the dispatch has already partially
 // overwritten the in-place scan buffers, is the reason the snapshot exists:
-// recovery must restore the pristine inputs before re-running, or the
-// re-runs would scan already-scanned data. Forced-parallel mode keeps the
-// batch on the chained path where "batch.piece" fires between piece kernels.
+// the throwing dispatch must hand every input back pristine before recovery
+// re-runs it, or the re-runs would scan already-scanned data. Forced-parallel
+// mode keeps the batch on the chained path where "batch.piece" fires between
+// piece kernels. Forward and backward jobs alternate, so both directions
+// share the one dispatch and its tiles; the late hits land after most tiles
+// have been rescanned.
 TEST(ServeRecovery, MidScanFaultRecoversFromTheSnapshot) {
   if (thread::num_workers() == 1) {
     GTEST_SKIP() << "forced-parallel dispatch needs a multi-worker pool";
@@ -215,32 +218,39 @@ TEST(ServeRecovery, MidScanFaultRecoversFromTheSnapshot) {
   Service::Options o = one_batch_options();
   o.parallel = batch::JobsMode::kForceParallel;
   Service svc(o);
-  fault::arm("batch.piece", 3, 1);
-
   std::mt19937_64 g(47);
-  std::vector<ScanJob> jobs;
-  std::vector<std::future<Result>> futs;
-  for (int i = 0; i < 6; ++i) {
-    jobs.push_back(random_scan_job(g, 20'000));  // many tiles -> many pieces
-    futs.push_back(svc.submit(jobs.back()));
+  const auto mixed_jobs = [&] {
+    std::vector<ScanJob> jobs;
+    for (int i = 0; i < 6; ++i) {
+      jobs.push_back(random_scan_job(g, 20'000));  // many tiles -> many pieces
+      jobs.back().backward = i % 2 == 1;
+    }
+    return jobs;
+  };
+  // 6 x 20'000 elements span 30 tiles, each summarised and rescanned piece
+  // by piece: the batch dispatch passes "batch.piece" at least 60 times.
+  std::uint64_t recoveries = 0;
+  for (const std::uint64_t nth : {3u, 20u, 41u, 59u}) {
+    SCOPED_TRACE("batch.piece nth=" + std::to_string(nth));
+    fault::arm("batch.piece", nth, 1);
+    std::vector<ScanJob> jobs = mixed_jobs();
+    std::vector<std::future<Result>> futs;
+    for (const ScanJob& j : jobs) futs.push_back(svc.submit(j));
+    for (std::size_t i = 0; i < futs.size(); ++i) {
+      Result r = futs[i].get();
+      ASSERT_EQ(r.status, Status::kOk) << "job " << i;
+      ASSERT_EQ(r.values, ref_scan(jobs[i])) << "job " << i;
+    }
+    EXPECT_EQ(svc.metrics().errors, 0u);
+    EXPECT_EQ(svc.metrics().recovery_batches, ++recoveries);
+    fault::disarm_all();
   }
-  for (std::size_t i = 0; i < futs.size(); ++i) {
-    Result r = futs[i].get();
-    ASSERT_EQ(r.status, Status::kOk) << "job " << i;
-    ASSERT_EQ(r.values, ref_scan(jobs[i])) << "job " << i;
-  }
-  EXPECT_EQ(svc.metrics().errors, 0u);
-  EXPECT_GE(svc.metrics().recovery_batches, 1u);
-  fault::disarm_all();
 
-  // The reused per-direction chained scratches went through an aborted run;
-  // later batches on the same service must still be bit-correct.
-  std::vector<ScanJob> again;
+  // The reused chained scratch went through aborted runs; later batches on
+  // the same service must still be bit-correct.
+  std::vector<ScanJob> again = mixed_jobs();
   std::vector<std::future<Result>> again_futs;
-  for (int i = 0; i < 6; ++i) {
-    again.push_back(random_scan_job(g, 20'000));
-    again_futs.push_back(svc.submit(again.back()));
-  }
+  for (const ScanJob& j : again) again_futs.push_back(svc.submit(j));
   for (std::size_t i = 0; i < again_futs.size(); ++i) {
     Result r = again_futs[i].get();
     ASSERT_EQ(r.status, Status::kOk);
